@@ -86,9 +86,14 @@ class Vocabulary:
     UNK_TOKEN = "<UNK>"
 
     def __init__(self, tokens: list[str]):
-        """``tokens`` are the non-reserved entries, already in id order."""
+        """``tokens`` are the non-reserved entries, already in id order; they
+        must be distinct strings, or lookups would collapse onto one id."""
         self.id_to_token = [self.PAD_TOKEN, self.UNK_TOKEN] + list(tokens)
+        if not all(isinstance(tok, str) for tok in tokens):
+            raise ValueError("vocabulary tokens must be strings")
         self.token_to_id = {tok: i + 2 for i, tok in enumerate(tokens)}
+        if len(self.token_to_id) != len(tokens):
+            raise ValueError("vocabulary repeats a token")
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -15,8 +15,10 @@ from .numerics import affine, log_softmax, relu, sigmoid, tanh
 LSTM = "lstm"
 GRU = "gru"
 
-LSTM_GATES = ("i", "f", "o", "c")
-GRU_GATES = ("r", "z", "n")
+# Gate blocks of each cell, in the order they are stacked in CellParams.  The
+# sigmoid gates come first and the tanh candidate last, so a step applies one
+# sigmoid to a contiguous slice.
+GATES = {LSTM: ("i", "f", "o", "c"), GRU: ("r", "z", "n")}
 
 
 @dataclass
@@ -39,60 +41,25 @@ class ModelConfig:
 
 
 @dataclass
-class LstmParams:
-    """One weight matrix pair and bias per gate: input (i), forget (f),
-    output (o) and candidate (c)."""
+class CellParams:
+    """Input weights W (G*H x E), recurrent weights R (G*H x H) and bias b
+    (G*H) of a G-gate cell, one H-row block per gate in GATES order."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    r_i: np.ndarray
-    r_f: np.ndarray
-    r_o: np.ndarray
-    r_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray
+    R: np.ndarray
+    b: np.ndarray
 
     def named_tensors(self):
-        for g in LSTM_GATES:
-            yield f"w_{g}", getattr(self, f"w_{g}")
-        for g in LSTM_GATES:
-            yield f"r_{g}", getattr(self, f"r_{g}")
-        for g in LSTM_GATES:
-            yield f"b_{g}", getattr(self, f"b_{g}")
-
-
-@dataclass
-class GruParams:
-    """Reset (r), update (z) and candidate (n) blocks."""
-
-    w_r: np.ndarray
-    w_z: np.ndarray
-    w_n: np.ndarray
-    u_r: np.ndarray
-    u_z: np.ndarray
-    u_n: np.ndarray
-    b_r: np.ndarray
-    b_z: np.ndarray
-    b_n: np.ndarray
-
-    def named_tensors(self):
-        for g in GRU_GATES:
-            yield f"w_{g}", getattr(self, f"w_{g}")
-        for g in GRU_GATES:
-            yield f"u_{g}", getattr(self, f"u_{g}")
-        for g in GRU_GATES:
-            yield f"b_{g}", getattr(self, f"b_{g}")
+        yield "W", self.W
+        yield "R", self.R
+        yield "b", self.b
 
 
 @dataclass
 class ModelParams:
     config: ModelConfig
     embedding: np.ndarray  # V x E, row 0 (PAD) kept at zero
-    cell: LstmParams | GruParams
+    cell: CellParams
     dense_w: np.ndarray  # K x H
     dense_b: np.ndarray  # K
 
@@ -149,37 +116,40 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng(cfg.seed)
     V, E, H, K = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim, cfg.num_classes
+    G = len(GATES[cfg.cell_kind])
     embedding = _glorot(rng, V, E)
     embedding[0, :] = 0.0
-    if cfg.cell_kind == LSTM:
-        ws = {f"w_{g}": _glorot(rng, H, E) for g in LSTM_GATES}
-        rs = {f"r_{g}": _glorot(rng, H, H) for g in LSTM_GATES}
-        bs = {f"b_{g}": np.zeros(H) for g in LSTM_GATES}
-        cell = LstmParams(**ws, **rs, **bs)
-    else:
-        ws = {f"w_{g}": _glorot(rng, H, E) for g in GRU_GATES}
-        us = {f"u_{g}": _glorot(rng, H, H) for g in GRU_GATES}
-        bs = {f"b_{g}": np.zeros(H) for g in GRU_GATES}
-        cell = GruParams(**ws, **us, **bs)
+    # one draw per gate block, so each block keeps its own Glorot bound
+    W = np.vstack([_glorot(rng, H, E) for _ in range(G)])
+    R = np.vstack([_glorot(rng, H, H) for _ in range(G)])
+    cell = CellParams(W, R, np.zeros(G * H))
     dense_w = _glorot(rng, K, H)
     dense_b = np.ones(K)
     return ModelParams(cfg, embedding, cell, dense_w, dense_b)
 
 
+def zero_params(cfg: ModelConfig) -> ModelParams:
+    """All-zero parameters of the configured shapes."""
+    V, E, H, K = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim, cfg.num_classes
+    GH = len(GATES[cfg.cell_kind]) * H
+    cell = CellParams(np.zeros((GH, E)), np.zeros((GH, H)), np.zeros(GH))
+    return ModelParams(cfg, np.zeros((V, E)), cell, np.zeros((K, H)), np.zeros(K))
+
+
 def count_params(cfg: ModelConfig) -> int:
     """Closed-form trainable-parameter count for the configured model."""
-    gates = 4 if cfg.cell_kind == LSTM else 3
+    gates = len(GATES[cfg.cell_kind])
     V, E, H, K = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim, cfg.num_classes
     return V * E + gates * (H * E + H * H + H) + (K * H + K)
 
 
-def lstm_step(p: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
+def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM update: gated blend of the previous cell state and a tanh
     candidate, with the hidden output gated by o."""
-    i = sigmoid(affine(p.w_i, x_t, p.r_i, prev.h, p.b_i))
-    f = sigmoid(affine(p.w_f, x_t, p.r_f, prev.h, p.b_f))
-    o = sigmoid(affine(p.w_o, x_t, p.r_o, prev.h, p.b_o))
-    g = tanh(affine(p.w_c, x_t, p.r_c, prev.h, p.b_c))
+    H = prev.h.shape[0]
+    a = affine(p.W, x_t, p.R, prev.h, p.b)
+    i, f, o = sigmoid(a[: 3 * H]).reshape(3, H)
+    g = tanh(a[3 * H :])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -187,13 +157,14 @@ def lstm_step(p: LstmParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     return LstmState(h, c, cache)
 
 
-def gru_step(p: GruParams, x_t: np.ndarray, prev: GruState) -> GruState:
+def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
     """One GRU update; the reset gate scales the previous state before the
-    recurrent matrix of the candidate."""
-    r = sigmoid(affine(p.w_r, x_t, p.u_r, prev.c, p.b_r))
-    z = sigmoid(affine(p.w_z, x_t, p.u_z, prev.c, p.b_z))
+    recurrent matrix of the candidate, so r and z share one affine map and
+    n takes its own."""
+    H = prev.c.shape[0]
+    r, z = sigmoid(affine(p.W[: 2 * H], x_t, p.R[: 2 * H], prev.c, p.b[: 2 * H])).reshape(2, H)
     rc = r * prev.c
-    n = tanh(affine(p.w_n, x_t, p.u_n, rc, p.b_n))
+    n = tanh(affine(p.W[2 * H :], x_t, p.R[2 * H :], rc, p.b[2 * H :]))
     c = (1.0 - z) * n + z * prev.c
     cache = dict(x=x_t, c_prev=prev.c, r=r, z=z, rc=rc, n=n)
     return GruState(c, cache)
@@ -279,7 +250,8 @@ def _head_backward(params, grads, step, u, relu_head):
 
 def _lstm_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
     p = params.cell
-    H = p.b_i.shape[0]
+    H = params.config.hidden_dim
+    dW, dR, db = grads["cell.W"], grads["cell.R"], grads["cell.b"]
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
     for t in range(len(steps) - 1, -1, -1):
@@ -294,19 +266,20 @@ def _lstm_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
         da_i = dc * g * i * (1.0 - i)
         da_c = dc * i * (1.0 - g**2)
         dc_rec = dc * f
-        dh_rec = p.r_i.T @ da_i + p.r_f.T @ da_f + p.r_o.T @ da_o + p.r_c.T @ da_c
-        x, h_prev = cc["x"], cc["h_prev"]
-        for name, da in (("i", da_i), ("f", da_f), ("o", da_o), ("c", da_c)):
-            grads[f"cell.w_{name}"] += np.outer(da, x)
-            grads[f"cell.r_{name}"] += np.outer(da, h_prev)
-            grads[f"cell.b_{name}"] += da
-        dx = p.w_i.T @ da_i + p.w_f.T @ da_f + p.w_o.T @ da_o + p.w_c.T @ da_c
-        grads["embedding"][ids[t]] += dx
+        da = np.concatenate((da_i, da_f, da_o, da_c))
+        dh_rec = p.R.T @ da
+        dW += np.outer(da, cc["x"])
+        dR += np.outer(da, cc["h_prev"])
+        db += da
+        grads["embedding"][ids[t]] += p.W.T @ da
 
 
 def _gru_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
     p = params.cell
-    H = p.b_r.shape[0]
+    H = params.config.hidden_dim
+    R_rz, R_n = p.R[: 2 * H], p.R[2 * H :]
+    dW, db = grads["cell.W"], grads["cell.b"]
+    dR_rz, dR_n = grads["cell.R"][: 2 * H], grads["cell.R"][2 * H :]
     dc_rec = np.zeros(H)
     for t in range(len(steps) - 1, -1, -1):
         step = steps[t]
@@ -316,18 +289,12 @@ def _gru_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
         r, z, n, c_prev, rc = cc["r"], cc["z"], cc["n"], cc["c_prev"], cc["rc"]
         da_z = dc * (c_prev - n) * z * (1.0 - z)
         da_n = dc * (1.0 - z) * (1.0 - n**2)
-        d_rc = p.u_n.T @ da_n
+        d_rc = R_n.T @ da_n
         da_r = d_rc * c_prev * r * (1.0 - r)
-        dc_rec = dc * z + d_rc * r + p.u_r.T @ da_r + p.u_z.T @ da_z
-        x = cc["x"]
-        grads["cell.w_r"] += np.outer(da_r, x)
-        grads["cell.w_z"] += np.outer(da_z, x)
-        grads["cell.w_n"] += np.outer(da_n, x)
-        grads["cell.u_r"] += np.outer(da_r, c_prev)
-        grads["cell.u_z"] += np.outer(da_z, c_prev)
-        grads["cell.u_n"] += np.outer(da_n, rc)
-        grads["cell.b_r"] += da_r
-        grads["cell.b_z"] += da_z
-        grads["cell.b_n"] += da_n
-        dx = p.w_r.T @ da_r + p.w_z.T @ da_z + p.w_n.T @ da_n
-        grads["embedding"][ids[t]] += dx
+        da = np.concatenate((da_r, da_z, da_n))
+        dc_rec = dc * z + d_rc * r + R_rz.T @ da[: 2 * H]
+        dW += np.outer(da, cc["x"])
+        dR_rz += np.outer(da[: 2 * H], c_prev)
+        dR_n += np.outer(da_n, rc)
+        db += da
+        grads["embedding"][ids[t]] += p.W.T @ da

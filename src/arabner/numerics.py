@@ -13,15 +13,19 @@ def _check_vector(name, v, dim):
 
 
 def affine(W: np.ndarray, x: np.ndarray, R: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + R @ h + b, the shared inner form of every gate."""
+    """W @ x + R @ h + b, the shared inner form of every gate.
+
+    W and R have one row per output, so a stack of G gate blocks of H rows
+    each (W: G*H x D, R: G*H x H) is computed in one call.
+    """
     if W.ndim != 2 or R.ndim != 2:
         raise ValueError(f"affine: W and R must be matrices, got {W.shape} and {R.shape}")
-    H, D = W.shape
-    if R.shape != (H, H):
+    N, D = W.shape
+    if R.shape[0] != N:
         raise ValueError(f"affine: R shape {R.shape} incompatible with W shape {W.shape}")
     _check_vector("affine: x", x, D)
-    _check_vector("affine: h", h, H)
-    _check_vector("affine: b", b, H)
+    _check_vector("affine: h", h, R.shape[1])
+    _check_vector("affine: b", b, N)
     return W @ x + R @ h + b
 
 

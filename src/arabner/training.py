@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,15 +21,16 @@ from .bioes import (
 )
 from .corpus import TaggedSentence, Vocabulary, build_vocab, encode_sentence
 from .model import (
+    GATES,
+    LSTM,
     ModelConfig,
     ModelParams,
-    GruParams,
-    LstmParams,
-    LSTM,
+    count_params,
     init_params,
     model_backward,
     model_forward,
     zero_gradients,
+    zero_params,
 )
 from .textnorm import NormalizationConfig, DEFAULT_CONFIG, normalize_text
 
@@ -167,7 +170,6 @@ class Checkpoint:
     adam: AdamState | None = None
     iterations: int = 0
     seed: int = 0
-    format_version: int = CHECKPOINT_VERSION
 
     @property
     def config(self) -> ModelConfig:
@@ -182,17 +184,31 @@ class CheckpointError(ValueError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
-def _expected_tensor_names(cfg: ModelConfig) -> list[str]:
-    cell = (
-        [f"cell.w_{g}" for g in ("i", "f", "o", "c")]
-        + [f"cell.r_{g}" for g in ("i", "f", "o", "c")]
-        + [f"cell.b_{g}" for g in ("i", "f", "o", "c")]
-        if cfg.cell_kind == LSTM
-        else [f"cell.w_{g}" for g in ("r", "z", "n")]
-        + [f"cell.u_{g}" for g in ("r", "z", "n")]
-        + [f"cell.b_{g}" for g in ("r", "z", "n")]
-    )
-    return ["embedding"] + cell + ["dense_w", "dense_b"]
+def _v1_layout(params: ModelParams, adam: AdamState | None):
+    """(file name, in-memory tensor, row slice, shape) of every tensor of a
+    v1 checkpoint, in file order.
+
+    A v1 file keeps one tensor per gate (``cell.w_i``, ``cell.u_r``, ...),
+    so each stacked cell tensor contributes one H-row block per gate.
+    """
+    cfg = params.config
+    H = cfg.hidden_dim
+    prefix = {"cell.W": "w", "cell.R": "r" if cfg.cell_kind == LSTM else "u", "cell.b": "b"}
+    tensors = dict(params.named_tensors())
+    base = []  # (file name, in-memory name, rows)
+    for name in tensors:
+        if name in prefix:
+            for k, gate in enumerate(GATES[cfg.cell_kind]):
+                base.append((f"cell.{prefix[name]}_{gate}", name, slice(k * H, (k + 1) * H)))
+        else:
+            base.append((name, name, slice(None)))
+    for file_name, name, rows in base:
+        yield file_name, tensors[name], rows, tensors[name][rows].shape
+    if adam is not None:
+        for file_name, name, rows in base:
+            shape = tensors[name][rows].shape
+            yield f"adam.m.{file_name}", adam.m[name], rows, shape
+            yield f"adam.v.{file_name}", adam.v[name], rows, shape
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -202,22 +218,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     config, tag ordering, vocabulary, and a tensor directory (name, shape,
     byte offset into the payload, in payload order).  Tensors follow as
     C-order float64 bytes, so save/load round-trips bit-exactly.
+
+    The file is written beside ``path`` under a temporary name, synced and
+    then renamed over ``path``, so a save that fails part way leaves any
+    existing checkpoint untouched.
     """
-    tensors = list(ckpt.params.named_tensors())
-    if ckpt.adam is not None:
-        for name, _ in ckpt.params.named_tensors():
-            tensors.append((f"adam.m.{name}", ckpt.adam.m[name]))
-            tensors.append((f"adam.v.{name}", ckpt.adam.v[name]))
+    layout = list(_v1_layout(ckpt.params, ckpt.adam))
     directory = []
     offset = 0
-    payload = []
-    for name, arr in tensors:
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        payload.append(data)
-        offset += len(data)
+    for name, _, _, shape in layout:
+        directory.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
     manifest = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "model": dataclasses.asdict(ckpt.config),
         "tag_ordering": ckpt.tag_ordering,
         "tag_fingerprint": tag_ordering_fingerprint(ckpt.tag_ordering),
@@ -226,133 +239,119 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "optimizer": {"step": ckpt.adam.t} if ckpt.adam is not None else None,
         "meta": {"iterations": ckpt.iterations, "seed": ckpt.seed},
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest, ensure_ascii=False).encode("utf-8"))
-        fh.write(b"\n")
-        for data in payload:
-            fh.write(data)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(manifest, ensure_ascii=False).encode("utf-8"))
+            fh.write(b"\n")
+            for _, arr, rows, _ in layout:
+                fh.write(np.ascontiguousarray(arr[rows], dtype="<f8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and verify a checkpoint; every integrity failure is distinct."""
+    """Read and verify a checkpoint; every integrity failure, malformed
+    manifest field and non-finite tensor raises CheckpointError."""
     raw = Path(path).read_bytes()
+
+    def require(ok, problem):
+        if not ok:
+            raise CheckpointError(f"{path}: {problem}")
+
     nl = raw.find(b"\n")
-    if nl < 0:
-        raise CheckpointError(f"{path}: missing manifest line")
+    require(nl >= 0, "missing manifest line")
     try:
         manifest = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
+    require(isinstance(manifest, dict), "manifest is not a JSON object")
     version = manifest.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version!r} not supported (expected {CHECKPOINT_VERSION})"
-        )
+    require(
+        version == CHECKPOINT_VERSION,
+        f"format version {version!r} not supported (expected {CHECKPOINT_VERSION})",
+    )
     try:
         cfg = ModelConfig(**manifest["model"])
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(f"{path}: bad model config ({exc})") from None
+    wrong = [f.name for f in dataclasses.fields(cfg) if type(getattr(cfg, f.name)) is not f.type]
+    require(not wrong, f"bad model config (wrong type of {', '.join(wrong)})")
 
     ordering = manifest.get("tag_ordering")
-    if ordering != tag_strings() or manifest.get("tag_fingerprint") != tag_ordering_fingerprint(
-        tag_strings()
-    ):
-        raise CheckpointError(f"{path}: tag ordering fingerprint mismatch")
+    require(
+        ordering == tag_strings()
+        and manifest.get("tag_fingerprint") == tag_ordering_fingerprint(tag_strings()),
+        "tag ordering fingerprint mismatch",
+    )
+    require(cfg.num_classes == len(ordering), f"{cfg.num_classes} classes for {len(ordering)} tags")
 
-    vocab = Vocabulary(manifest["vocab"])
-    if len(vocab) != cfg.vocab_size:
-        raise CheckpointError(
-            f"{path}: vocabulary size {len(vocab)} does not match config {cfg.vocab_size}"
-        )
-
-    payload = raw[nl + 1 :]
-    expected = _expected_tensor_names(cfg)
-    optimizer = manifest.get("optimizer")
-    if optimizer is not None:
-        expected = expected + [f"adam.{mv}.{n}" for n in expected for mv in ("m", "v")]
-    directory = manifest.get("tensors", [])
-    names = [entry["name"] for entry in directory]
-    if sorted(names) != sorted(expected):
-        raise CheckpointError(
-            f"{path}: tensor directory does not match a {cfg.cell_kind} model config"
-        )
-    base_shapes = _expected_shapes(cfg)
-    shapes = dict(base_shapes)
-    for n, shape in base_shapes.items():
-        shapes[f"adam.m.{n}"] = shape
-        shapes[f"adam.v.{n}"] = shape
-    for entry in directory:
-        if tuple(entry["shape"]) != shapes[entry["name"]]:
-            raise CheckpointError(
-                f"{path}: tensor {entry['name']!r} shape {tuple(entry['shape'])} does not "
-                f"match config shape {shapes[entry['name']]}"
-            )
-    arrays = {}
-    offset = 0
-    for entry in directory:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if entry["offset"] != offset:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} offset {entry['offset']} inconsistent "
-                f"(expected {offset})"
-            )
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + size > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=size // 8, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += size
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} trailing payload bytes")
-
-    params = _params_from_arrays(cfg, arrays)
-    adam = None
-    if optimizer is not None:
-        adam = AdamState(
-            m={n: arrays[f"adam.m.{n}"] for n in _expected_tensor_names(cfg)},
-            v={n: arrays[f"adam.v.{n}"] for n in _expected_tensor_names(cfg)},
-            t=int(optimizer["step"]),
-        )
-    meta = manifest.get("meta", {})
-    return Checkpoint(
-        params=params,
-        vocab=vocab,
-        tag_ordering=ordering,
-        adam=adam,
-        iterations=int(meta.get("iterations", 0)),
-        seed=int(meta.get("seed", 0)),
+    tokens = manifest.get("vocab")
+    require(isinstance(tokens, list), "vocabulary is not a list")
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    require(
+        len(vocab) == cfg.vocab_size,
+        f"vocabulary size {len(vocab)} does not match config {cfg.vocab_size}",
     )
 
+    optimizer = manifest.get("optimizer")
+    step = optimizer.get("step") if isinstance(optimizer, dict) else None
+    require(optimizer is None or (type(step) is int and step >= 0), f"bad optimizer {optimizer!r}")
+    meta = manifest.get("meta", {})
+    require(isinstance(meta, dict), "meta is not a JSON object")
+    iterations, seed = meta.get("iterations", 0), meta.get("seed", 0)
+    require(type(iterations) is int and iterations >= 0 and type(seed) is int, f"bad meta {meta!r}")
+    directory = manifest.get("tensors")
+    require(
+        isinstance(directory, list)
+        and all(isinstance(e, dict) and isinstance(e.get("name"), str) for e in directory),
+        "malformed tensor directory",
+    )
 
-def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    V, E, H, K = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim, cfg.num_classes
-    shapes = {"embedding": (V, E), "dense_w": (K, H), "dense_b": (K,)}
-    gates = ("i", "f", "o", "c") if cfg.cell_kind == LSTM else ("r", "z", "n")
-    rec = "r" if cfg.cell_kind == LSTM else "u"
-    for g in gates:
-        shapes[f"cell.w_{g}"] = (H, E)
-        shapes[f"cell.{rec}_{g}"] = (H, H)
-        shapes[f"cell.b_{g}"] = (H,)
-    return shapes
-
-
-def _params_from_arrays(cfg: ModelConfig, arrays: dict) -> ModelParams:
-    if cfg.cell_kind == LSTM:
-        cell = LstmParams(
-            **{f"w_{g}": arrays[f"cell.w_{g}"] for g in ("i", "f", "o", "c")},
-            **{f"r_{g}": arrays[f"cell.r_{g}"] for g in ("i", "f", "o", "c")},
-            **{f"b_{g}": arrays[f"cell.b_{g}"] for g in ("i", "f", "o", "c")},
+    base = nl + 1  # payload start
+    # checked before allocating, so a hand-edited config cannot ask for more
+    # memory than the file holds
+    require(len(raw) - base >= 8 * count_params(cfg), "truncated payload")
+    params = zero_params(cfg)
+    adam = AdamState.for_params(params) if optimizer is not None else None
+    slots = {name: (arr, rows, shape) for name, arr, rows, shape in _v1_layout(params, adam)}
+    require(
+        sorted(e["name"] for e in directory) == sorted(slots),
+        f"tensor directory does not match a {cfg.cell_kind} model config",
+    )
+    offset = 0
+    for entry in directory:
+        name = entry["name"]
+        arr, rows, shape = slots[name]
+        require(
+            entry.get("shape") == list(shape),
+            f"tensor {name!r} shape {entry.get('shape')} does not match config shape {shape}",
         )
-    else:
-        cell = GruParams(
-            **{f"w_{g}": arrays[f"cell.w_{g}"] for g in ("r", "z", "n")},
-            **{f"u_{g}": arrays[f"cell.u_{g}"] for g in ("r", "z", "n")},
-            **{f"b_{g}": arrays[f"cell.b_{g}"] for g in ("r", "z", "n")},
+        require(
+            entry.get("offset") == offset,
+            f"tensor {name!r} offset {entry.get('offset')!r} inconsistent (expected {offset})",
         )
-    return ModelParams(cfg, arrays["embedding"], cell, arrays["dense_w"], arrays["dense_b"])
+        count = math.prod(shape)
+        require(base + offset + 8 * count <= len(raw), f"truncated payload at tensor {name!r}")
+        block = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
+        require(np.isfinite(block).all(), f"tensor {name!r} holds non-finite values")
+        arr[rows] = block.reshape(shape)
+        offset += 8 * count
+    require(base + offset == len(raw), f"{len(raw) - base - offset} trailing payload bytes")
+
+    if adam is not None:
+        adam.t = step
+    return Checkpoint(
+        params, vocab, tag_ordering=ordering, adam=adam, iterations=iterations, seed=seed
+    )
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import shutil
 from pathlib import Path
 
@@ -241,3 +242,16 @@ def test_predict_multiple_sentences(trained, tmp_path, capsys):
     blocks = capsys.readouterr().out.strip().split("\n\n")
     assert len(blocks) == 2
     assert all("\t" in line for block in blocks for line in block.splitlines())
+
+
+def test_predict_malformed_manifest_exits_5(trained, tmp_path, capsys):
+    raw = Path(trained).read_bytes()
+    nl = raw.find(b"\n")
+    manifest = json.loads(raw[:nl])
+    del manifest["vocab"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(manifest, ensure_ascii=False).encode() + raw[nl:])
+    src = tmp_path / "input.txt"
+    src.write_text("سافر أحمد\n", encoding="utf-8")
+    assert main(["predict", "--ckpt", str(bad), "--input", str(src)]) == EXIT_MISMATCH
+    assert "vocabulary" in capsys.readouterr().err

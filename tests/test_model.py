@@ -5,19 +5,18 @@ import pytest
 
 from arabner.model import (
     GRU,
-    GruParams,
+    CellParams,
     GruState,
     LSTM,
-    LstmParams,
     LstmState,
     ModelConfig,
-    ModelParams,
     count_params,
     gru_step,
     init_params,
     lstm_step,
     model_backward,
     model_forward,
+    zero_params,
     zero_state,
 )
 from arabner.numerics import log_softmax
@@ -25,32 +24,28 @@ from arabner.training import cross_entropy_loss
 from fd_oracle import finite_difference_grads, worst_relative_error
 
 
-def lstm_const(H, E, w=0.0, r=0.0, b=0.0, b_f=None):
-    p = LstmParams(
-        **{f"w_{g}": np.full((H, E), float(w)) for g in "ifoc"},
-        **{f"r_{g}": np.full((H, H), float(r)) for g in "ifoc"},
-        **{f"b_{g}": np.full(H, float(b)) for g in "ifoc"},
+def cell_const(G, H, E, w, r, b):
+    return CellParams(
+        np.full((G * H, E), float(w)), np.full((G * H, H), float(r)), np.full(G * H, float(b))
     )
+
+
+def lstm_const(H, E, w=0.0, r=0.0, b=0.0, b_f=None):
+    p = cell_const(4, H, E, w, r, b)
     if b_f is not None:
-        p.b_f = np.full(H, float(b_f))
+        p.b[H : 2 * H] = float(b_f)  # forget-gate block
     return p
 
 
 def gru_const(H, E, w=0.0, u=0.0, b=0.0, b_z=None):
-    p = GruParams(
-        **{f"w_{g}": np.full((H, E), float(w)) for g in "rzn"},
-        **{f"u_{g}": np.full((H, H), float(u)) for g in "rzn"},
-        **{f"b_{g}": np.full(H, float(b)) for g in "rzn"},
-    )
+    p = cell_const(3, H, E, w, u, b)
     if b_z is not None:
-        p.b_z = np.full(H, float(b_z))
+        p.b[H : 2 * H] = float(b_z)  # update-gate block
     return p
 
 
 def zero_model(cell_kind, V=5, E=3, H=4, K=6):
-    cfg = ModelConfig(cell_kind, V, E, H, K)
-    cell = lstm_const(H, E) if cell_kind == LSTM else gru_const(H, E)
-    return ModelParams(cfg, np.zeros((V, E)), cell, np.zeros((K, H)), np.zeros(K))
+    return zero_params(ModelConfig(cell_kind, V, E, H, K))
 
 
 class TestConfig:
@@ -75,9 +70,7 @@ class TestInit:
     def test_bias_structure_and_pad_row(self):
         for kind in (LSTM, GRU):
             p = init_params(ModelConfig(kind, 30, 5, 6, 8, seed=1))
-            for name, arr in p.cell.named_tensors():
-                if name.startswith("b_"):
-                    assert np.all(arr == 0.0), name
+            assert np.all(p.cell.b == 0.0)
             assert np.all(p.dense_b == 1.0)  # head bias starts above the ReLU cut
             assert np.all(p.embedding[0] == 0.0)
             assert np.any(p.embedding[1] != 0.0)
@@ -85,8 +78,7 @@ class TestInit:
     def test_glorot_bound_at_paper_sizes(self):
         p = init_params(ModelConfig(LSTM, 100, 50, 50, 37, seed=0))
         bound = math.sqrt(6.0 / 100.0)  # ~0.2449
-        for g in "ifoc":
-            w = getattr(p.cell, f"w_{g}")
+        for w in np.split(p.cell.W, 4):  # one Glorot draw per gate block
             assert np.abs(w).max() <= bound
             assert np.abs(w).max() > 0.5 * bound  # actually fills the range
 

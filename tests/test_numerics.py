@@ -20,6 +20,10 @@ def test_affine_hand_example():
     W = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = affine(W, np.array([1.0, 1.0]), np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.5]))
     assert np.allclose(out, [3.5, 7.5], atol=0, rtol=0)
+    # two stacked gate blocks of one row each: R is G*H x H
+    R = np.array([[2.0], [-1.0]])
+    out = affine(W, np.array([1.0, 1.0]), R, np.array([0.5]), np.array([0.5, 0.5]))
+    assert np.allclose(out, [4.5, 7.0], atol=0, rtol=0)
 
 
 def test_affine_shape_errors_name_shapes():
@@ -29,6 +33,8 @@ def test_affine_shape_errors_name_shapes():
         affine(W, np.zeros(3), R, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="incompatible"):
         affine(W, np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"\(1,\)"):  # stacked R, h of the wrong width
+        affine(W, np.zeros(2), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
 
 
 def test_activation_examples():

@@ -1,4 +1,8 @@
+import builtins
 import copy
+import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from arabner.training import (
 )
 
 DATA = Path(__file__).parent / "data"
+V1 = DATA / "ckpt_v1"  # written by the per-gate code that defined format v1
 
 
 def uniform_log_probs(T, K):
@@ -183,6 +188,13 @@ class TestAdam:
             assert np.array_equal(a, before[n])
 
 
+def tensor_span(raw, name):
+    """(byte offset in the file, element count, shape) of one stored tensor."""
+    nl = raw.find(b"\n")
+    entry = next(e for e in json.loads(raw[:nl])["tensors"] if e["name"] == name)
+    return nl + 1 + entry["offset"], math.prod(entry["shape"]), entry["shape"]
+
+
 def make_checkpoint(kind=LSTM, seed=0, with_adam=True):
     from arabner.corpus import Vocabulary
 
@@ -195,6 +207,21 @@ def make_checkpoint(kind=LSTM, seed=0, with_adam=True):
         for n in adam.m:
             adam.m[n] += 0.25
     return Checkpoint(params=params, vocab=vocab, adam=adam, iterations=42, seed=seed)
+
+
+# manifest edits that must fail the load, and a fragment of each message
+MALFORMED = {
+    "no-vocab": (lambda m: m.__delitem__("vocab"), "vocabulary is not a list"),
+    "entry-without-offset": (lambda m: m["tensors"][0].__delitem__("offset"), "offset None"),
+    "manifest-is-list": (lambda m: [m], "not a JSON object"),
+    "tensors-not-list": (lambda m: m.update(tensors={}), "malformed tensor directory"),
+    "step-string": (lambda m: m["optimizer"].update(step="7"), "bad optimizer"),
+    "step-float": (lambda m: m["optimizer"].update(step=7.5), "bad optimizer"),
+    "iterations-float": (lambda m: m["meta"].update(iterations=1.5), "bad meta"),
+    "hidden-dim-float": (lambda m: m["model"].update(hidden_dim=3.0), "wrong type of hidden_dim"),
+    "vocab-duplicate": (lambda m: m.update(vocab=["الف", "الف", "جيم"]), "repeats a token"),
+    "vocab-not-strings": (lambda m: m.update(vocab=[1, 2, 3]), "must be strings"),
+}
 
 
 class TestCheckpoint:
@@ -220,13 +247,83 @@ class TestCheckpoint:
                 assert back.adam is None
 
     def edit_manifest(self, path, mutate):
-        import json
-
+        """Apply mutate to the manifest in place; a non-None result replaces it."""
         raw = Path(path).read_bytes()
         nl = raw.find(b"\n")
         manifest = json.loads(raw[:nl])
-        mutate(manifest)
+        replaced = mutate(manifest)
+        if replaced is not None:
+            manifest = replaced
         Path(path).write_bytes(json.dumps(manifest, ensure_ascii=False).encode() + raw[nl:])
+
+    @pytest.mark.parametrize("mutate, problem", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_manifest_is_checkpoint_error(self, tmp_path, mutate, problem):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_checkpoint(), path)
+        self.edit_manifest(path, mutate)
+        with pytest.raises(CheckpointError, match=re.escape(problem)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tensor, value", [("embedding", np.nan), ("adam.v.cell.r_c", np.inf)]
+    )
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, tensor, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_checkpoint(), path)
+        raw = bytearray(path.read_bytes())
+        start, _, _ = tensor_span(raw, tensor)
+        raw[start : start + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=re.escape(repr(tensor))):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_checkpoint(), path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Passes the first two writes through, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(
+            arabner.training, "open", lambda *a: FailingFile(builtins.open(*a)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(make_checkpoint(seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    @pytest.mark.parametrize("kind, second_gate", [(LSTM, "cell.w_f"), (GRU, "cell.w_z")])
+    def test_v1_files_load_and_resave_byte_identical(self, tmp_path, kind, second_gate):
+        original = (V1 / f"{kind}.ckpt").read_bytes()
+        ck = load_checkpoint(V1 / f"{kind}.ckpt")
+        save_checkpoint(ck, tmp_path / "resaved.ckpt")
+        assert (tmp_path / "resaved.ckpt").read_bytes() == original
+        save_checkpoint(make_checkpoint(kind=kind), tmp_path / "fresh.ckpt")
+        assert (tmp_path / "fresh.ckpt").read_bytes() == original
+        # the file's second per-gate block is rows H..2H of the stacked W
+        start, count, shape = tensor_span(original, second_gate)
+        block = np.frombuffer(original, "<f8", count, start).reshape(shape)
+        H = ck.config.hidden_dim
+        assert np.array_equal(ck.params.cell.W[H : 2 * H], block)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -377,15 +474,9 @@ class TestEvaluate:
     def test_all_outside_zero_model(self):
         # all-zero params predict class 0 (O) everywhere via the argmax tie-break
         from arabner.corpus import Vocabulary
-        from arabner.model import LstmParams, ModelParams
+        from arabner.model import zero_params
 
-        cfg = ModelConfig(LSTM, 3, 2, 2, 37)
-        cell = LstmParams(
-            **{f"w_{g}": np.zeros((2, 2)) for g in "ifoc"},
-            **{f"r_{g}": np.zeros((2, 2)) for g in "ifoc"},
-            **{f"b_{g}": np.zeros(2) for g in "ifoc"},
-        )
-        params = ModelParams(cfg, np.zeros((3, 2)), cell, np.zeros((37, 2)), np.zeros(37))
+        params = zero_params(ModelConfig(LSTM, 3, 2, 2, 37))
         ck = Checkpoint(params=params, vocab=Vocabulary(["كلمة"]))
         sentences = [
             TaggedSentence(["كلمة", "كلمة"], [parse_tag("O"), parse_tag("O")]),
