@@ -97,6 +97,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log or (args.out + ".log")
+    for path in (args.out, log_path):  # fail before training, not at the save after it
+        if not Path(path).parent.is_dir():
+            print(f"error: {path}: parent directory does not exist", file=sys.stderr)
+            return EXIT_IO
     root = Path(args.data)
     train_dir = root / "train"
     if not train_dir.is_dir():
@@ -134,7 +139,6 @@ def cmd_train(args) -> int:
         print(f"error: {exc}; last good checkpoint written to {args.out}", file=sys.stderr)
         return EXIT_NUMERIC
     save_checkpoint(result.checkpoint, args.out)
-    log_path = args.log or (args.out + ".log")
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in result.records:
             fh.write(record.to_line() + "\n")

@@ -175,17 +175,19 @@ def read_corpus(
     """Load every sentence under ``path`` (a CSV file or a directory of them).
 
     Grouping happens within each physical file: a sentence is a maximal
-    run of rows sharing the (file_name, sentence) column pair.  Words are
-    normalized; tags are parsed.  In strict mode a sentence with any
-    unparseable tag or a BIOES grammar violation is dropped and reported;
-    in lenient mode unparseable tags are coerced to O with a warning and
-    grammar violations are reported but the sentence is kept.
+    run of rows sharing the (file_name, sentence) column pair.  A pair
+    whose rows are split by other rows is reported, and each run is kept
+    as its own sentence in both modes.  Words are normalized; tags are
+    parsed.  In strict mode a sentence with any unparseable tag or a BIOES
+    grammar violation is dropped and reported; in lenient mode unparseable
+    tags are coerced to O with a warning and grammar violations are
+    reported but the sentence is kept.
     """
     report = LoadReport()
     sentences: list[TaggedSentence] = []
     for file_path in _corpus_files(Path(path)):
         rows = _read_rows(file_path)
-        for group in _group_rows(rows):
+        for group in _group_rows(rows, file_path, report):
             sentence = _assemble_sentence(group, file_path, strict, norm_cfg, report)
             if sentence is not None:
                 sentences.append(sentence)
@@ -194,14 +196,20 @@ def read_corpus(
     return sentences, report
 
 
-def _group_rows(rows):
+def _group_rows(rows, path, report):
     group = []
     current = None
+    first_lines = {}  # (file_name, sentence) -> line of the pair's first row
     for line, row in rows:
         key = (row.file_name, row.sentence)
-        if key != current and group:
-            yield group
-            group = []
+        if key != current:
+            if group:
+                yield group
+                group = []
+            first = first_lines.setdefault(key, line)
+            if first != line:
+                where = f"({row.file_name}, {row.sentence}) first appeared at line {first}"
+                report.add(path, line, f"sentence {where}; its rows are not contiguous")
         current = key
         group.append((line, row))
     if group:

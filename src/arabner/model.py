@@ -90,11 +90,12 @@ class GruState:
         return self.c
 
 
-def zero_state(cfg: ModelConfig):
-    H = cfg.hidden_dim
+def zero_state(cfg: ModelConfig, batch: tuple[int, ...] = ()):
+    """Initial state of one sequence, or of a batch of the given shape."""
+    shape = (*batch, cfg.hidden_dim)
     if cfg.cell_kind == LSTM:
-        return LstmState(np.zeros(H), np.zeros(H))
-    return GruState(np.zeros(H))
+        return LstmState(np.zeros(shape), np.zeros(shape))
+    return GruState(np.zeros(shape))
 
 
 def _glorot(rng, rows, cols):
@@ -145,11 +146,13 @@ def count_params(cfg: ModelConfig) -> int:
 
 def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM update: gated blend of the previous cell state and a tanh
-    candidate, with the hidden output gated by o."""
-    H = prev.h.shape[0]
+    candidate, with the hidden output gated by o.  x_t and the state may
+    carry leading batch axes."""
+    H = prev.h.shape[-1]
     a = affine(p.W, x_t, p.R, prev.h, p.b)
-    i, f, o = sigmoid(a[: 3 * H]).reshape(3, H)
-    g = tanh(a[3 * H :])
+    s = sigmoid(a[..., : 3 * H])
+    i, f, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H :]
+    g = tanh(a[..., 3 * H :])
     c = f * prev.c + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
@@ -160,9 +163,10 @@ def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
 def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
     """One GRU update; the reset gate scales the previous state before the
     recurrent matrix of the candidate, so r and z share one affine map and
-    n takes its own."""
-    H = prev.c.shape[0]
-    r, z = sigmoid(affine(p.W[: 2 * H], x_t, p.R[: 2 * H], prev.c, p.b[: 2 * H])).reshape(2, H)
+    n takes its own.  x_t and the state may carry leading batch axes."""
+    H = prev.c.shape[-1]
+    s = sigmoid(affine(p.W[: 2 * H], x_t, p.R[: 2 * H], prev.c, p.b[: 2 * H]))
+    r, z = s[..., :H], s[..., H:]
     rc = r * prev.c
     n = tanh(affine(p.W[2 * H :], x_t, p.R[2 * H :], rc, p.b[2 * H :]))
     c = (1.0 - z) * n + z * prev.c
@@ -171,47 +175,53 @@ def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
 
 
 def model_forward(params: ModelParams, token_ids, mask=None):
-    """Run the full tagger over one sequence.
+    """Run the full tagger over one sequence (T,) or a batch (..., T).
 
-    Returns (log_probs[T, K], caches); caches hold everything the backward
-    pass needs.  Padding rows still produce log_probs; the mask only
+    Returns (log_probs[..., T, K], caches); caches hold everything the
+    backward pass needs, each per-step cell value stacked with time on
+    axis -2.  Padding positions still produce log_probs; the mask only
     matters to the loss and to model_backward.
     """
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError(f"token_ids must be one-dimensional, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+    if ids.ndim == 0 or ids.size == 0:
+        raise ValueError(f"token_ids must hold at least one position, got shape {ids.shape}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
-    T = ids.size
-    if mask is None:
-        mask = np.ones(T, dtype=np.float64)
-    else:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (T,):
-            raise ValueError(f"mask shape {mask.shape} does not match {T} tokens")
+    mask = np.ones(ids.shape) if mask is None else np.asarray(mask, dtype=np.float64)
+    if mask.shape != ids.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match token_ids shape {ids.shape}")
 
-    log_probs = np.zeros((T, cfg.num_classes))
-    steps = []
-    state = zero_state(cfg)
-    for t in range(T):
-        x = params.embedding[ids[t]]
-        if cfg.cell_kind == LSTM:
-            state = lstm_step(params.cell, x, state)
-        else:
-            state = gru_step(params.cell, x, state)
-        out = state.h
-        pre = params.dense_w @ out + params.dense_b
-        act = relu(pre) if cfg.relu_head else pre
-        lp = log_softmax(act)
-        log_probs[t] = lp
-        steps.append(dict(cell=state.cache, out=out, pre=pre, probs=np.exp(lp)))
-    caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask, steps=steps)
+    step = lstm_step if cfg.cell_kind == LSTM else gru_step
+    x = params.embedding[ids]
+    state = zero_state(cfg, ids.shape[:-1])
+    states = []
+    for t in range(ids.shape[-1]):
+        state = step(params.cell, x[..., t, :], state)
+        states.append(state)
+    out = _stack_time([s.h for s in states])
+    pre = out @ params.dense_w.T + params.dense_b
+    log_probs = log_softmax(relu(pre) if cfg.relu_head else pre)
+    cell = {k: _stack_time([s.cache[k] for s in states]) for k in state.cache}
+    caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask)
+    caches.update(cell=cell, out=out, pre=pre, probs=np.exp(log_probs))
     return log_probs, caches
+
+
+def _stack_time(steps: list[np.ndarray]) -> np.ndarray:
+    """Per-step arrays (..., H) as one (..., T, H) array."""
+    a = np.array(steps)  # time on axis 0; np.stack costs several times more
+    return a.transpose((*range(1, a.ndim - 1), 0, a.ndim - 1))
 
 
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+
+
+def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of the outer products a[..., :] x b[..., :] over every leading axis."""
+    lead = list(range(a.ndim - 1))
+    return np.tensordot(a, b, (lead, lead))
 
 
 def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict[str, np.ndarray]:
@@ -222,79 +232,64 @@ def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict
         raise ValueError(
             f"cache from a {caches['kind']} forward pass does not match {cfg.cell_kind} params"
         )
-    steps = caches["steps"]
-    T = len(steps)
-    if d_log_probs.shape != (T, cfg.num_classes):
-        raise ValueError(
-            f"d_log_probs shape {d_log_probs.shape} does not match ({T}, {cfg.num_classes})"
-        )
-    ids = caches["token_ids"]
-    mask = caches["mask"]
+    probs = caches["probs"]
+    if d_log_probs.shape != probs.shape:
+        raise ValueError(f"d_log_probs shape {d_log_probs.shape} does not match {probs.shape}")
+    # head: dense, ReLU (subgradient 0 at pre == 0) and LogSoftmax
+    u = d_log_probs * caches["mask"][..., None]
+    d_pre = u - probs * u.sum(axis=-1, keepdims=True)
+    if caches["relu_head"]:
+        d_pre *= caches["pre"] > 0
+    cell = caches["cell"]
+    backward = _lstm_backward if cfg.cell_kind == LSTM else _gru_backward
+    da, dR = backward(params.cell, cell, d_pre @ params.dense_w)
+
+    lead = tuple(range(da.ndim - 1))
     grads = zero_gradients(params)
-    if cfg.cell_kind == LSTM:
-        _lstm_backward(params, grads, steps, ids, mask, d_log_probs, caches["relu_head"])
-    else:
-        _gru_backward(params, grads, steps, ids, mask, d_log_probs, caches["relu_head"])
+    np.add.at(grads["embedding"], caches["token_ids"], da @ params.cell.W)
+    grads["cell.W"] = _sum_outer(da, cell["x"])
+    grads["cell.R"] = dR
+    grads["cell.b"] = da.sum(axis=lead)
+    grads["dense_w"] = _sum_outer(d_pre, caches["out"])
+    grads["dense_b"] = d_pre.sum(axis=lead)
     return grads
 
 
-def _head_backward(params, grads, step, u, relu_head):
-    """Shared dense+ReLU+LogSoftmax backward; returns d(loss)/d(cell output)."""
-    d_act = u - step["probs"] * u.sum()
-    # ReLU subgradient: 0 at pre == 0
-    d_pre = d_act * (step["pre"] > 0) if relu_head else d_act
-    grads["dense_w"] += np.outer(d_pre, step["out"])
-    grads["dense_b"] += d_pre
-    return params.dense_w.T @ d_pre
-
-
-def _lstm_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
-    p = params.cell
-    H = params.config.hidden_dim
-    dW, dR, db = grads["cell.W"], grads["cell.R"], grads["cell.b"]
-    dh_rec = np.zeros(H)
-    dc_rec = np.zeros(H)
-    for t in range(len(steps) - 1, -1, -1):
-        step = steps[t]
-        cc = step["cell"]
-        u = d_log_probs[t] * mask[t]
-        dh = _head_backward(params, grads, step, u, relu_head) + dh_rec
-        i, f, o, g, tanh_c = cc["i"], cc["f"], cc["o"], cc["g"], cc["tanh_c"]
-        da_o = dh * tanh_c * o * (1.0 - o)
+def _lstm_backward(p: CellParams, cc, dout):
+    """Stacked gate gradients da[..., T, 4H] and d(loss)/dR, given the
+    gradient dout reaching each step's hidden output from the head."""
+    H = dout.shape[-1]
+    da = np.empty((*dout.shape[:-1], 4 * H))
+    dh_rec = dc_rec = 0.0
+    for t in range(dout.shape[-2] - 1, -1, -1):
+        i, f, o, g, tanh_c, c_prev = (
+            cc[k][..., t, :] for k in ("i", "f", "o", "g", "tanh_c", "c_prev")
+        )
+        dh = dout[..., t, :] + dh_rec
         dc = dh * o * (1.0 - tanh_c**2) + dc_rec
-        da_f = dc * cc["c_prev"] * f * (1.0 - f)
-        da_i = dc * g * i * (1.0 - i)
-        da_c = dc * i * (1.0 - g**2)
+        da_i, da_f = dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f)
+        da_o, da_c = dh * tanh_c * o * (1.0 - o), dc * i * (1.0 - g**2)
+        da[..., t, :] = np.concatenate((da_i, da_f, da_o, da_c), axis=-1)
         dc_rec = dc * f
-        da = np.concatenate((da_i, da_f, da_o, da_c))
-        dh_rec = p.R.T @ da
-        dW += np.outer(da, cc["x"])
-        dR += np.outer(da, cc["h_prev"])
-        db += da
-        grads["embedding"][ids[t]] += p.W.T @ da
+        dh_rec = da[..., t, :] @ p.R
+    return da, _sum_outer(da, cc["h_prev"])
 
 
-def _gru_backward(params, grads, steps, ids, mask, d_log_probs, relu_head):
-    p = params.cell
-    H = params.config.hidden_dim
+def _gru_backward(p: CellParams, cc, dout):
+    """Stacked gate gradients da[..., T, 3H] and d(loss)/dR, given the
+    gradient dout reaching each step's state from the head."""
+    H = dout.shape[-1]
     R_rz, R_n = p.R[: 2 * H], p.R[2 * H :]
-    dW, db = grads["cell.W"], grads["cell.b"]
-    dR_rz, dR_n = grads["cell.R"][: 2 * H], grads["cell.R"][2 * H :]
-    dc_rec = np.zeros(H)
-    for t in range(len(steps) - 1, -1, -1):
-        step = steps[t]
-        cc = step["cell"]
-        u = d_log_probs[t] * mask[t]
-        dc = _head_backward(params, grads, step, u, relu_head) + dc_rec
-        r, z, n, c_prev, rc = cc["r"], cc["z"], cc["n"], cc["c_prev"], cc["rc"]
-        da_z = dc * (c_prev - n) * z * (1.0 - z)
+    da = np.empty((*dout.shape[:-1], 3 * H))
+    dc_rec = 0.0
+    for t in range(dout.shape[-2] - 1, -1, -1):
+        r, z, n, c_prev = (cc[k][..., t, :] for k in ("r", "z", "n", "c_prev"))
+        dc = dout[..., t, :] + dc_rec
         da_n = dc * (1.0 - z) * (1.0 - n**2)
-        d_rc = R_n.T @ da_n
-        da_r = d_rc * c_prev * r * (1.0 - r)
-        da = np.concatenate((da_r, da_z, da_n))
-        dc_rec = dc * z + d_rc * r + R_rz.T @ da[: 2 * H]
-        dW += np.outer(da, cc["x"])
-        dR_rz += np.outer(da[: 2 * H], c_prev)
-        dR_n += np.outer(da_n, rc)
-        db += da
-        grads["embedding"][ids[t]] += p.W.T @ da
+        d_rc = da_n @ R_n
+        da_r, da_z = d_rc * c_prev * r * (1.0 - r), dc * (c_prev - n) * z * (1.0 - z)
+        da[..., t, :] = np.concatenate((da_r, da_z, da_n), axis=-1)
+        dc_rec = dc * z + d_rc * r + da[..., t, : 2 * H] @ R_rz
+    # rows of R_n multiply the reset-scaled state, the others the plain state
+    dR_rz, dR_n = _sum_outer(da[..., : 2 * H], cc["c_prev"]), _sum_outer(da[..., 2 * H :], cc["rc"])
+    return da, np.vstack((dR_rz, dR_n))

@@ -7,26 +7,28 @@ broadcasting; silent broadcasts here would corrupt gradients downstream.
 import numpy as np
 
 
-def _check_vector(name, v, dim):
-    if v.shape != (dim,):
-        raise ValueError(f"{name}: expected shape ({dim},), got {v.shape}")
+def _check_shape(name, v, shape):
+    if v.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {v.shape}")
 
 
 def affine(W: np.ndarray, x: np.ndarray, R: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W @ x + R @ h + b, the shared inner form of every gate.
 
     W and R have one row per output, so a stack of G gate blocks of H rows
-    each (W: G*H x D, R: G*H x H) is computed in one call.
+    each (W: G*H x D, R: G*H x H) is computed in one call.  x and h may
+    carry the same leading batch axes; the result then carries them too.
     """
     if W.ndim != 2 or R.ndim != 2:
         raise ValueError(f"affine: W and R must be matrices, got {W.shape} and {R.shape}")
     N, D = W.shape
     if R.shape[0] != N:
         raise ValueError(f"affine: R shape {R.shape} incompatible with W shape {W.shape}")
-    _check_vector("affine: x", x, D)
-    _check_vector("affine: h", h, R.shape[1])
-    _check_vector("affine: b", b, N)
-    return W @ x + R @ h + b
+    batch = x.shape[:-1]
+    _check_shape("affine: x", x, (*batch, D))
+    _check_shape("affine: h", h, (*batch, R.shape[1]))
+    _check_shape("affine: b", b, (N,))
+    return x @ W.T + h @ R.T + b
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
@@ -48,7 +50,7 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:
-    """v - logsumexp(v) with the max shifted out before exponentiation."""
-    m = np.max(v)
-    shifted = v - m
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    """v - logsumexp(v) over the last axis, with each row's max shifted out
+    before exponentiation."""
+    shifted = v - np.max(v, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))

@@ -55,6 +55,14 @@ def test_validate_reports_and_fails(tmp_path, capsys):
     assert "XYZ" in capsys.readouterr().out
 
 
+def test_validate_reports_non_contiguous_key(tmp_path, capsys):
+    p = tmp_path / "split.csv"
+    p.write_text("file_name,sentence,word,tag\nf,1,a,O\nf,2,b,O\nf,1,c,O\n", encoding="utf-8")
+    assert main(["validate", "--data", str(tmp_path)]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "sentences=3" in out and "not contiguous" in out
+
+
 def test_validate_split_layout(capsys):
     assert main(["validate", "--data", str(DATA / "overfit")]) == EXIT_OK
     out = capsys.readouterr().out
@@ -132,6 +140,28 @@ def test_train_reports_parameter_count(tmp_path, capsys):
     printed = capsys.readouterr().out
     ck = load_checkpoint(out)
     assert f"parameters={count_params(ck.config)}" in printed
+
+
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_train_missing_output_directory_fails_before_training(tmp_path, monkeypatch, capsys, flag):
+    import arabner.cli
+
+    def no_train(*args):
+        raise AssertionError("train must not run")
+
+    monkeypatch.setattr(arabner.cli, "train", no_train)
+    missing = str(tmp_path / "missing" / "m.out")
+    paths = {"--out": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "m.log")}
+    paths[flag] = missing
+    code = main(
+        [
+            "train", "--data", str(DATA / "overfit"), "--cell", "lstm",
+            "--out", paths["--out"], "--log", paths["--log"],
+        ]
+    )
+    assert code == EXIT_IO
+    assert missing in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_accepts_bare_csv_directory(tmp_path):

@@ -60,6 +60,17 @@ def test_sentence_boundary_is_pair_change(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_non_contiguous_key_is_reported_and_kept(tmp_path, strict):
+    body = "f,1,a,O\nf,2,b,O\nf,1,c,O\n"  # (f, 1) resumes after (f, 2)
+    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body), strict=strict)
+    assert [s.tokens for s in sentences] == [["a"], ["b"], ["c"]]
+    assert len(report.issues) == 1
+    issue = report.issues[0]
+    assert issue.line == 4
+    assert "(f, 1)" in issue.message and "first appeared at line 2" in issue.message
+
+
 def test_directory_load_sorted_and_new_file_starts_sentence(tmp_path):
     # written out of lexicographic order on purpose
     write_csv(tmp_path / "b.csv", "f,1,x,O\n")

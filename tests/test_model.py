@@ -192,6 +192,8 @@ class TestForward:
             model_forward(p, [0, 5])
         with pytest.raises(ValueError, match="out of range"):
             model_forward(p, [-1])
+        with pytest.raises(ValueError, match=r"shape \(0,\)"):
+            model_forward(p, [])
 
     def test_forward_deterministic(self):
         p = init_params(ModelConfig(GRU, 12, 4, 4, 6, seed=5))
@@ -225,6 +227,9 @@ class TestStateBounds:
             assert np.abs(state.c).max() < 1.0
 
 
+LENGTHS = (5, 2, 4)  # a ragged batch, padded to its longest sentence
+
+
 class TestBackward:
     def make(self, kind, seed=7, T=5, relu_head=True):
         cfg = ModelConfig(kind, 13, 4, 3, 13, seed=seed, relu_head=relu_head)
@@ -237,6 +242,39 @@ class TestBackward:
         gold = rng.integers(0, 13, size=T)
         mask = np.ones(T)
         return params, ids, gold, mask
+
+    def make_batch(self, kind, relu_head=True):
+        """LENGTHS sentences as (B, T) arrays: PAD ids, -1 tags and mask 0 past each end."""
+        params, *_ = self.make(kind, relu_head=relu_head)
+        rng = np.random.default_rng(3)
+        mask = (np.arange(max(LENGTHS)) < np.array(LENGTHS)[:, None]).astype(float)
+        ids = np.where(mask > 0, rng.integers(1, 13, size=mask.shape), 0)
+        gold = np.where(mask > 0, rng.integers(0, 13, size=mask.shape), -1)
+        return params, ids, gold, mask
+
+    @pytest.mark.parametrize("kind", [LSTM, GRU])
+    def test_batch_rows_match_single_sentences(self, kind):
+        params, ids, gold, mask = self.make_batch(kind)
+        lp, _ = model_forward(params, ids, mask)
+        assert lp.shape == (len(LENGTHS), max(LENGTHS), 13)
+        for row, n in enumerate(LENGTHS):
+            single, _ = model_forward(params, ids[row, :n])
+            assert np.abs(lp[row, :n] - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [LSTM, GRU])
+    def test_batch_gradient_is_token_weighted_sum(self, kind):
+        params, ids, gold, mask = self.make_batch(kind)
+        lp, caches = model_forward(params, ids, mask)
+        _, d = cross_entropy_loss(lp, gold, mask)
+        batch = model_backward(params, caches, d)
+        total = {name: np.zeros_like(g) for name, g in batch.items()}
+        for row, n in enumerate(LENGTHS):
+            lp1, caches1 = model_forward(params, ids[row, :n])
+            _, d1 = cross_entropy_loss(lp1, gold[row, :n], np.ones(n))
+            for name, g in model_backward(params, caches1, d1).items():
+                total[name] += g * n / sum(LENGTHS)
+        for name in batch:
+            assert np.abs(batch[name] - total[name]).max() <= 1e-12, name
 
     def test_zero_upstream_gives_zero_grads(self):
         for kind in (LSTM, GRU):
@@ -277,19 +315,20 @@ class TestBackward:
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     @pytest.mark.parametrize("relu_head", [True, False])
     def test_gradients_match_finite_differences(self, kind, relu_head):
-        params, ids, gold, mask = self.make(kind, relu_head=relu_head)
-        mask[-1] = 0.0  # exercise the mask path too
-        lp, caches = model_forward(params, ids, mask)
-        _, d = cross_entropy_loss(lp, gold, mask)
-        analytic = model_backward(params, caches, d)
+        sentence = self.make(kind, relu_head=relu_head)
+        sentence[3][-1] = 0.0  # exercise the mask path too
+        for params, ids, gold, mask in (sentence, self.make_batch(kind, relu_head=relu_head)):
+            lp, caches = model_forward(params, ids, mask)
+            _, d = cross_entropy_loss(lp, gold, mask)
+            analytic = model_backward(params, caches, d)
 
-        def loss():
-            lp2, _ = model_forward(params, ids, mask)
-            return cross_entropy_loss(lp2, gold, mask)[0]
+            def loss():
+                lp2, _ = model_forward(params, ids, mask)
+                return cross_entropy_loss(lp2, gold, mask)[0]
 
-        numeric = finite_difference_grads(params, loss, eps=1e-5)
-        worst, where = worst_relative_error(analytic, numeric)
-        assert worst < 1e-4, f"worst relative error {worst} in {where}"
+            numeric = finite_difference_grads(params, loss, eps=1e-5)
+            worst, where = worst_relative_error(analytic, numeric)
+            assert worst < 1e-4, f"{ids.shape}: worst relative error {worst} in {where}"
 
     def test_backward_deterministic(self):
         params, ids, gold, mask = self.make(GRU)

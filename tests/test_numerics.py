@@ -24,6 +24,10 @@ def test_affine_hand_example():
     R = np.array([[2.0], [-1.0]])
     out = affine(W, np.array([1.0, 1.0]), R, np.array([0.5]), np.array([0.5, 0.5]))
     assert np.allclose(out, [4.5, 7.0], atol=0, rtol=0)
+    # a leading batch axis: one row of x and h per batch member
+    x = np.array([[1.0, 1.0], [0.0, 0.0]])
+    out = affine(W, x, R, np.array([[0.5], [1.0]]), np.array([0.5, 0.5]))
+    assert np.allclose(out, [[4.5, 7.0], [2.5, -0.5]], atol=0, rtol=0)
 
 
 def test_affine_shape_errors_name_shapes():
@@ -35,6 +39,8 @@ def test_affine_shape_errors_name_shapes():
         affine(W, np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError, match=r"\(1,\)"):  # stacked R, h of the wrong width
         affine(W, np.zeros(2), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"\(4, 3\).*\(5, 3\)"):  # batch of 4 x, 5 h
+        affine(W, np.zeros((4, 2)), R, np.zeros((5, 3)), np.zeros(3))
 
 
 def test_activation_examples():
@@ -77,6 +83,9 @@ def test_log_softmax_shift_invariance_and_normalization():
         assert abs(np.exp(out).sum() - 1.0) <= 1e-12
         shifted = log_softmax(v + 123.456)
         assert np.allclose(out, shifted, atol=1e-9)
+    rows = rng.uniform(-50, 50, size=(4, 37))  # a matrix is normalized row by row
+    for out, v in zip(log_softmax(rows), rows):
+        assert np.array_equal(out, log_softmax(v))
 
 
 def test_log_softmax_no_overflow_for_large_logits():

@@ -1,14 +1,19 @@
 import builtins
 import copy
+import functools
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arabner.training
+from arabner.cli import EXIT_MISMATCH, EXIT_OK, main
 from arabner.bioes import EntitySpan, parse_tag, tag_strings
 from arabner.corpus import TaggedSentence, read_corpus
 from arabner.model import GRU, LSTM, ModelConfig, init_params, count_params
@@ -81,6 +86,18 @@ class TestCrossEntropy:
         gold_sentinel = np.array([2, -1, 3])
         loss3, _ = cross_entropy_loss(lp, gold_sentinel, mask)
         assert loss3 == base_loss
+
+    def test_batch_axes_count_as_positions(self):
+        rng = np.random.default_rng(4)
+        lp = np.log(rng.dirichlet(np.ones(5), size=(3, 4)))
+        gold = rng.integers(0, 5, size=(3, 4))
+        mask = np.array([[1.0] * 4, [1.0, 1.0, 0.0, 0.0], [1.0] * 3 + [0.0]])
+        loss, d = cross_entropy_loss(lp, gold, mask)
+        flat_loss, flat_d = cross_entropy_loss(lp.reshape(12, 5), gold.ravel(), mask.ravel())
+        assert loss == pytest.approx(flat_loss, rel=1e-15)
+        assert np.array_equal(d.reshape(12, 5), flat_d)
+        acc = token_accuracy(lp, gold, mask)
+        assert acc == token_accuracy(lp.reshape(12, 5), gold.ravel(), mask.ravel())
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sentence"):
@@ -377,6 +394,73 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def json_paths(value, prefix=()):
+    """Every path into a JSON value, containers included."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(make_checkpoint(), Path(tmp) / "m.ckpt")
+        return (Path(tmp) / "m.ckpt").read_bytes()
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """The small test checkpoint with one manifest field replaced or
+    deleted, or with payload bytes flipped, cut off or appended."""
+    raw = checkpoint_bytes()
+    nl = raw.find(b"\n")
+    manifest, payload = json.loads(raw[:nl]), raw[nl + 1 :]
+    kind = draw(st.sampled_from(["set", "delete", "flip", "cut", "append"]))
+    if kind in ("set", "delete"):
+        path = draw(st.sampled_from(list(json_paths(manifest))[1 if kind == "delete" else 0 :]))
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            manifest = draw(JSON_VALUES)
+    elif kind == "flip":
+        at, flip = draw(st.integers(0, len(payload) - 1)), draw(st.integers(1, 255))
+        payload = payload[:at] + bytes([payload[at] ^ flip]) + payload[at + 1 :]
+    elif kind == "cut":
+        payload = payload[: draw(st.integers(0, len(payload) - 1))]
+    else:
+        payload += draw(st.binary(min_size=1, max_size=16))
+    return json.dumps(manifest, ensure_ascii=False).encode() + b"\n" + payload
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(raw=mutated_checkpoints())
+def test_fuzzed_checkpoint_fails_only_with_checkpoint_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, text = Path(tmp) / "m.ckpt", Path(tmp) / "in.txt"
+        path.write_bytes(raw)
+        text.write_text("الف باء دال\n", encoding="utf-8")
+        try:
+            load_checkpoint(path)
+            expected = EXIT_OK  # e.g. a flipped payload byte that is still a finite weight
+        except CheckpointError:
+            expected = EXIT_MISMATCH
+        assert main(["predict", "--ckpt", str(path), "--input", str(text)]) == expected
+
+
 @pytest.fixture(scope="module")
 def overfit_train():
     sentences, report = read_corpus(DATA / "overfit" / "train")
@@ -437,6 +521,27 @@ class TestTrain:
             a.size for _, a in res.checkpoint.params.named_tensors()
         )
 
+    def test_one_forward_and_one_backward_per_step(self, overfit_train, monkeypatch):
+        calls = {"model_forward": 0, "model_backward": 0}
+
+        def counted(name):
+            real = getattr(arabner.training, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(arabner.training, name, counted(name))
+        train(
+            overfit_train,
+            ModelConfig(GRU, 2, 6, 6, seed=0),
+            TrainConfig(iterations=7, seed=0, batch_size=8),
+        )
+        assert calls == {"model_forward": 7, "model_backward": 7}
+
     def test_divergence_carries_last_good_checkpoint(self, overfit_train, monkeypatch):
         calls = {"n": 0}
         real = arabner.training.model_backward
@@ -444,7 +549,7 @@ class TestTrain:
         def sabotaged(params, caches, d):
             grads = real(params, caches, d)
             calls["n"] += 1
-            if calls["n"] > 8:  # poison the second optimizer step
+            if calls["n"] > 1:  # poison the second optimizer step
                 grads["dense_b"] = grads["dense_b"] + np.nan
             return grads
 
