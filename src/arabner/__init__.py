@@ -42,6 +42,7 @@ from .training import (
     cross_entropy_loss,
     evaluate,
     load_checkpoint,
+    predict_lines,
     predict_tags,
     save_checkpoint,
     token_accuracy,

@@ -32,13 +32,14 @@ def affine(W: np.ndarray, x: np.ndarray, R: np.ndarray, h: np.ndarray, b: np.nda
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise 1/(1+e^-x), stable for large |x| (no overflow in exp)."""
-    out = np.empty_like(v, dtype=np.float64)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Elementwise 1/(1+e^-x), stable for large |x| (no overflow in exp).
+
+    With e = e^-|x|, this is 1/(1+e) for x >= 0 and e/(1+e) below 0, the
+    two branches of the textbook stable form, bit for bit.  -|x| is taken
+    as min(x, -x), which unlike -abs(x) keeps the sign bit of a NaN.
+    """
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(v: np.ndarray) -> np.ndarray:

@@ -33,9 +33,12 @@ class NormalizationConfig:
     """
 
     strip_set: frozenset[int] = field(default=DEFAULT_STRIP_CODEPOINTS)
+    # str.translate table deleting strip_set, built once per config
+    table: dict[int, None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strip_set", frozenset(self.strip_set))
+        object.__setattr__(self, "table", dict.fromkeys(self.strip_set))
 
 
 DEFAULT_CONFIG = NormalizationConfig()
@@ -54,4 +57,4 @@ def normalize_text(text: str, cfg: NormalizationConfig = DEFAULT_CONFIG) -> str:
     All other codepoints are preserved in order, so the result is a
     subsequence of the input and the operation is idempotent.
     """
-    return text.translate(dict.fromkeys(cfg.strip_set))
+    return text.translate(cfg.table)

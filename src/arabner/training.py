@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .bioes import (
+    ALL_TAGS,
     CATEGORIES,
     EntitySpan,
     Tag,
@@ -35,6 +37,13 @@ from .model import (
 from .textnorm import NormalizationConfig, DEFAULT_CONFIG, normalize_text
 
 CHECKPOINT_VERSION = 1
+# Elements of one tensor that adam_step updates per pass: its scratch
+# buffers (256 KiB each) stay in cache, where tensor-sized temporaries of
+# the 587k-entry embedding would not.
+ADAM_BLOCK = 32768
+# Padded positions of one inference batch; enough rows to amortize the
+# per-timestep numpy calls, few enough that the caches stay small.
+INFERENCE_POSITIONS = 512
 
 
 @dataclass
@@ -140,24 +149,40 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     """One Adam update, in place, over every parameter tensor.
 
     All gradients are checked finite before any tensor is touched, so a
-    failure leaves params and state exactly as they were.
+    failure leaves params and state exactly as they were.  Each tensor is
+    updated ADAM_BLOCK elements at a time through two block-sized scratch
+    buffers, with the operations of the textbook update in its order:
+
+        m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+        p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
     """
     for name, _ in params.named_tensors():
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradientError(name)
     state.t += 1
     t = state.t
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, arr in params.named_tensors():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        arr -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        flat = [x.reshape(-1, copy=False) for x in (arr, state.m[name], state.v[name])]
+        g_all = grads[name].reshape(-1)
+        for lo in range(0, g_all.size, ADAM_BLOCK):
+            p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
+            g = g_all[lo : lo + ADAM_BLOCK]
+            a, b = scratch_a[: g.size], scratch_b[: g.size]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            p -= np.divide(a, b, out=a)
     return params, state
 
 
@@ -258,17 +283,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and verify a checkpoint; every integrity failure, malformed
-    manifest field and non-finite tensor raises CheckpointError."""
-    raw = Path(path).read_bytes()
+    manifest field and non-finite tensor raises CheckpointError.
 
+    Each tensor block is read from the file straight into the rows of the
+    buffer it fills; the file is never held in memory as a whole.
+    """
+    with open(path, "rb") as fh:
+        return _read_checkpoint(fh, path)
+
+
+def _read_checkpoint(fh, path) -> Checkpoint:
     def require(ok, problem):
         if not ok:
             raise CheckpointError(f"{path}: {problem}")
 
-    nl = raw.find(b"\n")
-    require(nl >= 0, "missing manifest line")
+    line = fh.readline()
+    size = os.fstat(fh.fileno()).st_size
+    require(line.endswith(b"\n"), "missing manifest line")
     try:
-        manifest = json.loads(raw[:nl].decode("utf-8"))
+        manifest = json.loads(line[:-1].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest ({exc})") from None
     require(isinstance(manifest, dict), "manifest is not a JSON object")
@@ -317,10 +350,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         "malformed tensor directory",
     )
 
-    base = nl + 1  # payload start
+    base = len(line)  # payload start
     # checked before allocating, so a hand-edited config cannot ask for more
     # memory than the file holds
-    require(len(raw) - base >= 8 * count_params(cfg), "truncated payload")
+    require(size - base >= 8 * count_params(cfg), "truncated payload")
     params = zero_params(cfg)
     adam = AdamState.for_params(params) if optimizer is not None else None
     slots = {name: (arr, rows, shape) for name, arr, rows, shape in _v1_layout(params, adam)}
@@ -340,13 +373,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             entry.get("offset") == offset,
             f"tensor {name!r} offset {entry.get('offset')!r} inconsistent (expected {offset})",
         )
-        count = math.prod(shape)
-        require(base + offset + 8 * count <= len(raw), f"truncated payload at tensor {name!r}")
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
+        block = arr[rows]  # a contiguous run of rows: a view into the buffer
+        require(fh.readinto(block) == block.nbytes, f"truncated payload at tensor {name!r}")
+        if sys.byteorder == "big":  # the payload is little-endian
+            block.byteswap(inplace=True)
         require(np.isfinite(block).all(), f"tensor {name!r} holds non-finite values")
-        arr[rows] = block.reshape(shape)
-        offset += 8 * count
-    require(base + offset == len(raw), f"{len(raw) - base - offset} trailing payload bytes")
+        offset += block.nbytes
+    require(base + offset == size, f"{size - base - offset} trailing payload bytes")
 
     if adam is not None:
         adam.t = step
@@ -406,17 +439,44 @@ def _shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def _split_metrics(params: ModelParams, encoded) -> tuple[float, float]:
     """Mean-per-token loss and accuracy over a whole encoded split."""
-    nll = 0.0
-    correct = 0.0
-    total = 0.0
-    for token_ids, tag_ids, mask in encoded:
-        log_probs, _ = model_forward(params, token_ids, mask)
-        loss, _ = cross_entropy_loss(log_probs, tag_ids, mask)
-        m = mask.sum()
-        nll += loss * m
-        correct += token_accuracy(log_probs, tag_ids, mask) * m
-        total += m
-    return nll / total, correct / total
+    token_ids, tag_ids, masks = zip(*encoded)
+    order, log_probs = zip(*_batched_log_probs(params, token_ids))
+    gold = np.concatenate([tag_ids[i] for i in order])
+    mask = np.concatenate([masks[i] for i in order])
+    log_probs = np.concatenate(log_probs)
+    loss, _ = cross_entropy_loss(log_probs, gold, mask)
+    return loss, token_accuracy(log_probs, gold, mask)
+
+
+def _batched_log_probs(params: ModelParams, rows):
+    """Yield (i, log_probs[len(rows[i]), K]) for every non-empty id row,
+    batch by batch.
+
+    The rows run through model_forward in batches of similar length: sorted
+    by length, a batch takes the next rows while their count times the
+    longest one stays within INFERENCE_POSITIONS (a longer row runs alone).
+    Shorter rows are padded at the end, after their last real position, so
+    the padding does not change their values.  Only one batch is held at a
+    time, so a caller that reduces each row as it comes keeps the memory of
+    one batch, not of every row.
+    """
+    lengths = [len(row) for row in rows]
+    order = sorted((i for i, n in enumerate(lengths) if n), key=lengths.__getitem__)
+    start = 0
+    while start < len(order):
+        stop = start + 1  # the rows are sorted, so order[stop - 1] is the batch's longest
+        while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= INFERENCE_POSITIONS:
+            stop += 1
+        batch = order[start:stop]
+        ids = np.zeros((len(batch), lengths[batch[-1]]), dtype=np.int64)
+        mask = np.zeros(ids.shape)
+        for b, i in enumerate(batch):
+            ids[b, : lengths[i]] = rows[i]
+            mask[b, : lengths[i]] = 1.0
+        log_probs, _ = model_forward(params, ids, mask)  # positional, as the benchmark tracer's hook takes it
+        for b, i in enumerate(batch):
+            yield i, log_probs[b, : lengths[i]]
+        start = stop
 
 
 def train(
@@ -547,9 +607,9 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
     correct = 0.0
     total = 0.0
     scores = {c: CategoryScore() for c in CATEGORIES}
-    for s in sentences:
-        token_ids, tag_ids, mask = encode_sentence(s, ckpt.vocab, len(s))
-        log_probs, _ = model_forward(ckpt.params, token_ids, mask)
+    encoded = [encode_sentence(s, ckpt.vocab, len(s)) for s in sentences]
+    for k, log_probs in _batched_log_probs(ckpt.params, [token_ids for token_ids, _, _ in encoded]):
+        s, (_, tag_ids, mask) = sentences[k], encoded[k]
         pred_ids = np.argmax(log_probs, axis=1)
         correct += token_accuracy(log_probs, tag_ids, mask) * mask.sum()
         total += mask.sum()
@@ -571,14 +631,24 @@ def _span_key(span: EntitySpan):
     return (span.start, span.end, span.category)
 
 
+def predict_lines(
+    ckpt: Checkpoint,
+    lines: list[list[str]],
+    norm_cfg: NormalizationConfig = DEFAULT_CONFIG,
+) -> list[list[Tag]]:
+    """Tag pre-tokenized sentences, all through batched forward passes;
+    tokens are normalized before lookup, and an empty sentence gets no tags."""
+    rows = [[ckpt.vocab.lookup(normalize_text(t, norm_cfg)) for t in tokens] for tokens in lines]
+    tags = [[] for _ in lines]
+    for i, log_probs in _batched_log_probs(ckpt.params, rows):
+        tags[i] = [ALL_TAGS[k] for k in np.argmax(log_probs, axis=1).tolist()]
+    return tags
+
+
 def predict_tags(
     ckpt: Checkpoint,
     raw_tokens: list[str],
     norm_cfg: NormalizationConfig = DEFAULT_CONFIG,
 ) -> list[Tag]:
     """Tag one pre-tokenized sentence; tokens are normalized before lookup."""
-    if not raw_tokens:
-        return []
-    ids = np.array([ckpt.vocab.lookup(normalize_text(t, norm_cfg)) for t in raw_tokens])
-    log_probs, _ = model_forward(ckpt.params, ids)
-    return [id_to_tag(int(i)) for i in np.argmax(log_probs, axis=1)]
+    return predict_lines(ckpt, [raw_tokens], norm_cfg)[0]

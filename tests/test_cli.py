@@ -13,7 +13,7 @@ from arabner.cli import (
     main,
 )
 from arabner.model import count_params
-from arabner.training import load_checkpoint
+from arabner.training import load_checkpoint, predict_tags
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,6 +272,26 @@ def test_predict_multiple_sentences(trained, tmp_path, capsys):
     blocks = capsys.readouterr().out.strip().split("\n\n")
     assert len(blocks) == 2
     assert all("\t" in line for block in blocks for line in block.splitlines())
+
+
+def test_predict_file_equals_per_line_predict_tags(trained, tmp_path, monkeypatch, capsys):
+    import arabner.training
+
+    lines = ["سافر أحمد إلى بغداد", "", "زار عمر", "   ", "في", "سَافَرَ أَحْمَدُ كلمةغريبة في بغداد زار"]
+    src = tmp_path / "input.txt"
+    src.write_text("\n".join(lines * 40) + "\n", encoding="utf-8")
+    forwards = []
+    real = arabner.training.model_forward
+    monkeypatch.setattr(arabner.training, "model_forward", lambda *a: forwards.append(1) or real(*a))
+    assert main(["predict", "--ckpt", str(trained), "--input", str(src)]) == EXIT_OK
+    assert 0 < len(forwards) < 16  # a few batches, not one forward pass per non-empty line
+    ckpt = load_checkpoint(trained)
+    expected = [
+        "\n".join(f"{tok}\t{tag}" for tok, tag in zip(line.split(), predict_tags(ckpt, line.split())))
+        for line in lines * 40
+        if line.split()
+    ]
+    assert capsys.readouterr().out == "\n\n".join(expected) + "\n\n"
 
 
 def test_predict_malformed_manifest_exits_5(trained, tmp_path, capsys):

@@ -55,6 +55,16 @@ def test_sigmoid_stable_at_extremes():
         out = sigmoid(np.array([700.0, -700.0]))
     assert out[0] == 1.0
     assert 0.0 < out[1] < 1e-300
+    # bit for bit the textbook two-branch form, element by element
+    grid = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.0, -700.0, 1e-300, -1e-300, 5e-324]
+    v = np.concatenate([grid, np.random.default_rng(3).normal(scale=30, size=2000)])
+
+    def textbook(x):
+        return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+
+    with np.errstate(over="raise"):
+        out = sigmoid(v)
+    assert out.tobytes() == np.array([textbook(x) for x in v]).tobytes()
 
 
 def test_sigmoid_symmetry_and_tanh_odd():

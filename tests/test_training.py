@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import arabner.training
 from arabner.cli import EXIT_MISMATCH, EXIT_OK, main
-from arabner.bioes import EntitySpan, parse_tag, tag_strings
-from arabner.corpus import TaggedSentence, read_corpus
-from arabner.model import GRU, LSTM, ModelConfig, init_params, count_params
+from arabner.bioes import EntitySpan, id_to_tag, parse_tag, tag_strings
+from arabner.corpus import TaggedSentence, encode_sentence, read_corpus
+from arabner.model import GRU, LSTM, ModelConfig, init_params, count_params, model_forward
 from arabner.training import (
     AdamState,
     Checkpoint,
@@ -25,10 +25,12 @@ from arabner.training import (
     TrainConfig,
     TrainingDivergedError,
     _spans_lenient,
+    _split_metrics,
     adam_step,
     cross_entropy_loss,
     evaluate,
     load_checkpoint,
+    predict_lines,
     predict_tags,
     save_checkpoint,
     token_accuracy,
@@ -191,6 +193,29 @@ class TestAdam:
             da = dict(params_a.named_tensors())[n] - before[n]
             db = dict(params_b.named_tensors())[n] - before[n]
             assert np.abs(da + db).max() < 1e-15  # opposite up to addition rounding
+
+    def test_blocked_update_is_the_textbook_update_bit_for_bit(self):
+        # the embedding (700 x 50) spans two ADAM_BLOCK passes
+        params = init_params(ModelConfig(LSTM, 700, 50, 3, 5, seed=4))
+        assert params.embedding.size > arabner.training.ADAM_BLOCK
+        cfg = TrainConfig(learning_rate=0.01)
+        state = AdamState.for_params(params)
+        ref = {n: [a.copy(), np.zeros_like(a), np.zeros_like(a)] for n, a in params.named_tensors()}
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=a.shape) for n, a in params.named_tensors()}
+            adam_step(params, grads, state, cfg)
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for n, (p, m, v) in ref.items():
+                g = grads[n]
+                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        for n, a in params.named_tensors():
+            p, m, v = ref[n]
+            assert a.tobytes() == p.tobytes(), n
+            assert state.m[n].tobytes() == m.tobytes(), n
+            assert state.v[n].tobytes() == v.tobytes(), n
 
     def test_non_finite_gradient_rejected_before_mutation(self):
         params = tiny_params()
@@ -627,3 +652,98 @@ class TestPredict:
         dotted = predict_tags(res.checkpoint, ["سَافَرَ", "أَحْمَدُ", "إلى", "بَغْدَاد"])
         assert [str(t) for t in plain] == [str(t) for t in dotted]
         assert predict_tags(res.checkpoint, []) == []
+
+
+@pytest.fixture(scope="module")
+def overfit_lstm(overfit_train):
+    res = train(
+        overfit_train,
+        ModelConfig(LSTM, 2, 16, 16, seed=2),
+        TrainConfig(iterations=150, seed=2, eval_every=1000),
+    )
+    return res.checkpoint
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    real = arabner.training.model_forward
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(arabner.training, "model_forward", counted)
+    return calls
+
+
+def ragged_lines(overfit_train, n, seed=0):
+    """n lines of 1-9 tokens: training words, diacritized words and OOV words."""
+    rng = np.random.default_rng(seed)
+    words = sorted({w for s in overfit_train for w in s.tokens})
+    pool = words + ["سَافَرَ", "أَحْمَدُ", "بَغْدَاد", "كلمةغريبة", "xyz"]
+    return [list(rng.choice(pool, size=rng.integers(1, 10))) for _ in range(n)]
+
+
+class TestBatchedInference:
+    """evaluate, _split_metrics and predict_lines run length-sorted batches
+    through model_forward; the results equal one-sentence forward passes."""
+
+    def test_predict_lines_equals_predict_tags(self, overfit_lstm, overfit_train, monkeypatch):
+        lines = ragged_lines(overfit_train, 150) + [[], ["في"] * 600]  # an empty and an over-long line
+        expected = [predict_tags(overfit_lstm, line) for line in lines]
+        calls = count_forwards(monkeypatch)
+        got = predict_lines(overfit_lstm, lines)
+        assert [[str(t) for t in tags] for tags in got] == [[str(t) for t in tags] for tags in expected]
+        assert [len(tags) for tags in got] == [len(line) for line in lines]
+        assert 2 < len(calls) < len(lines) // 10  # a few batches, not one call per line
+        assert all(B * T <= arabner.training.INFERENCE_POSITIONS for B, T in calls if B > 1)
+        assert (1, 600) in calls
+
+    def test_evaluate_equals_per_sentence_forward(self, overfit_lstm, overfit_train, monkeypatch):
+        sentences = overfit_train * 6  # several batches
+        K = overfit_lstm.config.num_classes
+        confusion = np.zeros((K, K), dtype=np.int64)
+        correct = total = 0
+        gold_spans, pred_spans = [], []
+        for s in sentences:
+            ids, gold, _ = encode_sentence(s, overfit_lstm.vocab, len(s))
+            pred = np.argmax(model_forward(overfit_lstm.params, ids)[0], axis=1)
+            np.add.at(confusion, (gold, pred), 1)
+            correct += int((pred == gold).sum())
+            total += len(s)
+            gold_spans.append(_spans_lenient(s.tags))
+            pred_spans.append(_spans_lenient([id_to_tag(int(i)) for i in pred]))
+        calls = count_forwards(monkeypatch)
+        result = evaluate(overfit_lstm, sentences)
+        assert 0 < len(calls) < len(sentences)
+        assert result.token_accuracy == pytest.approx(correct / total, rel=0, abs=1e-12)
+        assert np.array_equal(result.confusion, confusion)
+        for cat, score in result.category_scores.items():
+            g = sum(1 for spans in gold_spans for sp in spans if sp.category == cat)
+            p = sum(1 for spans in pred_spans for sp in spans if sp.category == cat)
+            m = sum(
+                1
+                for gs, ps in zip(gold_spans, pred_spans)
+                for sp in set(ps) & set(gs)
+                if sp.category == cat
+            )
+            assert (score.gold, score.predicted, score.matched) == (g, p, m), cat
+        assert result.token_accuracy > 0.9  # the model has learned the split
+
+    def test_split_metrics_equals_per_sentence_loop(self, overfit_lstm, overfit_train, monkeypatch):
+        vocab = overfit_lstm.vocab
+        # natural lengths, plus padded rows whose mask-0 tail must not count
+        encoded = [encode_sentence(s, vocab, len(s)) for s in overfit_train * 4]
+        encoded += [encode_sentence(s, vocab, 12) for s in overfit_train]
+        nll = correct = total = 0.0
+        for ids, gold, mask in encoded:
+            log_probs, _ = model_forward(overfit_lstm.params, ids, mask)
+            loss, _ = cross_entropy_loss(log_probs, gold, mask)
+            nll += loss * mask.sum()
+            correct += token_accuracy(log_probs, gold, mask) * mask.sum()
+            total += mask.sum()
+        calls = count_forwards(monkeypatch)
+        loss, accuracy = _split_metrics(overfit_lstm.params, encoded)
+        assert 0 < len(calls) < len(encoded)
+        assert abs(loss - nll / total) <= 1e-12
+        assert abs(accuracy - correct / total) <= 1e-12
