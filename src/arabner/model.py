@@ -1,8 +1,9 @@
 """Embedding -> LSTM/GRU -> dense+ReLU -> LogSoftmax tagger, forward and backward.
 
 Gradients are hand-derived backpropagation through time; no autodiff.
-The backward pass mirrors the forward caches step by step, so every
-formula here has a finite-difference check in the test suite.
+Each cell's math is one update function that model_forward and the
+lstm_step/gru_step API share, so every formula here has a
+finite-difference check in the test suite.
 """
 
 import math
@@ -10,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import affine, log_softmax, relu, sigmoid, tanh
+from .numerics import affine  # unused here; the traced benchmark patches it under this module
+from .numerics import _check_shape, log_softmax, relu, sigmoid, tanh
 
 LSTM = "lstm"
 GRU = "gru"
@@ -144,43 +146,53 @@ def count_params(cfg: ModelConfig) -> int:
     return V * E + gates * (H * E + H * H + H) + (K * H + K)
 
 
+def _lstm_update(p: CellParams, xw, h_prev, c_prev):
+    """One LSTM update of the projected input xw = x @ W.T: a gated blend of the
+    previous cell state and a tanh candidate, output gated by o; returns (h, c, gates)."""
+    H = h_prev.shape[-1]
+    a = xw + h_prev @ p.R.T + p.b
+    a[..., : 3 * H] = sigmoid(a[..., : 3 * H])
+    a[..., 3 * H :] = tanh(a[..., 3 * H :])
+    i, f, o, g = a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :]
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c, a
+
+
+def _gru_update(p: CellParams, xw, c_prev):
+    """One GRU update of the projected input xw = x @ W.T; returns (c, gates).
+    The reset gate scales the previous state before the candidate's R[2H:]."""
+    H = c_prev.shape[-1]
+    a = np.empty(xw.shape)
+    a[..., : 2 * H] = sigmoid(xw[..., : 2 * H] + c_prev @ p.R[: 2 * H].T + p.b[: 2 * H])
+    r, z = a[..., :H], a[..., H : 2 * H]
+    a[..., 2 * H :] = tanh(xw[..., 2 * H :] + (r * c_prev) @ p.R[2 * H :].T + p.b[2 * H :])
+    return (1.0 - z) * a[..., 2 * H :] + z * c_prev, a
+
+
 def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
-    """One LSTM update: gated blend of the previous cell state and a tanh
-    candidate, with the hidden output gated by o.  x_t and the state may
-    carry leading batch axes."""
-    H = prev.h.shape[-1]
-    a = affine(p.W, x_t, p.R, prev.h, p.b)
-    s = sigmoid(a[..., : 3 * H])
-    i, f, o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H :]
-    g = tanh(a[..., 3 * H :])
-    c = f * prev.c + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = dict(x=x_t, h_prev=prev.h, c_prev=prev.c, i=i, f=f, o=o, g=g, tanh_c=tanh_c)
-    return LstmState(h, c, cache)
+    """One LSTM update of x_t; x_t and the state may carry leading batch axes."""
+    _check_shape("lstm_step: x_t", x_t, (*prev.h.shape[:-1], p.W.shape[1]))
+    h, c, a = _lstm_update(p, x_t @ p.W.T, prev.h, prev.c)
+    return LstmState(h, c, dict(zip(("i", "f", "o", "g"), np.split(a, 4, axis=-1))))
 
 
 def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
-    """One GRU update; the reset gate scales the previous state before the
-    recurrent matrix of the candidate, so r and z share one affine map and
-    n takes its own.  x_t and the state may carry leading batch axes."""
-    H = prev.c.shape[-1]
-    s = sigmoid(affine(p.W[: 2 * H], x_t, p.R[: 2 * H], prev.c, p.b[: 2 * H]))
-    r, z = s[..., :H], s[..., H:]
-    rc = r * prev.c
-    n = tanh(affine(p.W[2 * H :], x_t, p.R[2 * H :], rc, p.b[2 * H :]))
-    c = (1.0 - z) * n + z * prev.c
-    cache = dict(x=x_t, c_prev=prev.c, r=r, z=z, rc=rc, n=n)
-    return GruState(c, cache)
+    """One GRU update of x_t; x_t and the state may carry leading batch axes."""
+    _check_shape("gru_step: x_t", x_t, (*prev.c.shape[:-1], p.W.shape[1]))
+    c, a = _gru_update(p, x_t @ p.W.T, prev.c)
+    return GruState(c, dict(zip(GATES[GRU], np.split(a, 3, axis=-1))))
 
 
 def model_forward(params: ModelParams, token_ids, mask=None):
     """Run the full tagger over one sequence (T,) or a batch (..., T).
 
-    Returns (log_probs[..., T, K], caches); caches hold everything the
-    backward pass needs, each per-step cell value stacked with time on
-    axis -2.  Padding positions still produce log_probs; the mask only
-    matters to the loss and to model_backward.
+    Returns (log_probs[..., T, K], caches).  x @ W.T is one product over
+    every position; each step adds only the recurrent term.  The caches are
+    time-first and hold each value once: the inputs x[T, ..., E], the states
+    h (LSTM only) and c[T+1, ..., H] from the zero state at row 0, the gates
+    [T, ..., G*H] in GATES order, and the head's pre and log_probs[T, ..., K].
+    Padding positions still produce log_probs; the mask only matters to
+    the loss and to model_backward.
     """
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
@@ -192,26 +204,23 @@ def model_forward(params: ModelParams, token_ids, mask=None):
     if mask.shape != ids.shape:
         raise ValueError(f"mask shape {mask.shape} does not match token_ids shape {ids.shape}")
 
-    step = lstm_step if cfg.cell_kind == LSTM else gru_step
-    x = params.embedding[ids]
-    state = zero_state(cfg, ids.shape[:-1])
-    states = []
-    for t in range(ids.shape[-1]):
-        state = step(params.cell, x[..., t, :], state)
-        states.append(state)
-    out = _stack_time([s.h for s in states])
-    pre = out @ params.dense_w.T + params.dense_b
-    log_probs = log_softmax(relu(pre) if cfg.relu_head else pre)
-    cell = {k: _stack_time([s.cache[k] for s in states]) for k in state.cache}
-    caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask)
-    caches.update(cell=cell, out=out, pre=pre, probs=np.exp(log_probs))
-    return log_probs, caches
-
-
-def _stack_time(steps: list[np.ndarray]) -> np.ndarray:
-    """Per-step arrays (..., H) as one (..., T, H) array."""
-    a = np.array(steps)  # time on axis 0; np.stack costs several times more
-    return a.transpose((*range(1, a.ndim - 1), 0, a.ndim - 1))
+    p = params.cell
+    x = params.embedding[np.moveaxis(ids, -1, 0)]
+    xw = x @ p.W.T
+    caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask, x=x)
+    gates = caches["gates"] = np.empty(xw.shape)
+    c = caches["c"] = np.zeros((len(x) + 1, *x.shape[1:-1], cfg.hidden_dim))
+    if cfg.cell_kind == LSTM:
+        h = caches["h"] = np.zeros(c.shape)
+        for t in range(len(x)):
+            h[t + 1], c[t + 1], gates[t] = _lstm_update(p, xw[t], h[t], c[t])
+    else:
+        h = c  # the GRU's output is its state
+        for t in range(len(x)):
+            c[t + 1], gates[t] = _gru_update(p, xw[t], c[t])
+    pre = caches["pre"] = h[1:] @ params.dense_w.T + params.dense_b
+    log_probs = caches["log_probs"] = log_softmax(relu(pre) if cfg.relu_head else pre)
+    return np.moveaxis(log_probs, 0, -2), caches
 
 
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
@@ -232,64 +241,67 @@ def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict
         raise ValueError(
             f"cache from a {caches['kind']} forward pass does not match {cfg.cell_kind} params"
         )
-    probs = caches["probs"]
-    if d_log_probs.shape != probs.shape:
-        raise ValueError(f"d_log_probs shape {d_log_probs.shape} does not match {probs.shape}")
-    # head: dense, ReLU (subgradient 0 at pre == 0) and LogSoftmax
-    u = d_log_probs * caches["mask"][..., None]
-    d_pre = u - probs * u.sum(axis=-1, keepdims=True)
+    log_probs = caches["log_probs"]
+    shape = np.moveaxis(log_probs, 0, -2).shape
+    if d_log_probs.shape != shape:
+        raise ValueError(f"d_log_probs shape {d_log_probs.shape} does not match {shape}")
+    # head: dense, ReLU (subgradient 0 at pre == 0) and LogSoftmax, time-first
+    u = np.moveaxis(d_log_probs * caches["mask"][..., None], -2, 0)
+    d_pre = u - np.exp(log_probs) * u.sum(axis=-1, keepdims=True)
     if caches["relu_head"]:
         d_pre *= caches["pre"] > 0
-    cell = caches["cell"]
     backward = _lstm_backward if cfg.cell_kind == LSTM else _gru_backward
-    da, dR = backward(params.cell, cell, d_pre @ params.dense_w)
+    da, dR = backward(params.cell, caches, d_pre @ params.dense_w)
 
     lead = tuple(range(da.ndim - 1))
     grads = zero_gradients(params)
-    np.add.at(grads["embedding"], caches["token_ids"], da @ params.cell.W)
-    grads["cell.W"] = _sum_outer(da, cell["x"])
+    np.add.at(grads["embedding"], np.moveaxis(caches["token_ids"], -1, 0), da @ params.cell.W)
+    grads["cell.W"] = _sum_outer(da, caches["x"])
     grads["cell.R"] = dR
     grads["cell.b"] = da.sum(axis=lead)
-    grads["dense_w"] = _sum_outer(d_pre, caches["out"])
+    grads["dense_w"] = _sum_outer(d_pre, caches.get("h", caches["c"])[1:])
     grads["dense_b"] = d_pre.sum(axis=lead)
     return grads
 
 
 def _lstm_backward(p: CellParams, cc, dout):
-    """Stacked gate gradients da[..., T, 4H] and d(loss)/dR, given the
+    """Stacked gate gradients da[T, ..., 4H] and d(loss)/dR, given the
     gradient dout reaching each step's hidden output from the head."""
-    H = dout.shape[-1]
-    da = np.empty((*dout.shape[:-1], 4 * H))
+    gates, c = cc["gates"], cc["c"]
+    tanh_c = np.tanh(c[1:])
+    # one contiguous array per gate: a step's ops run slower on slices of the stack
+    i_, f_, o_, g_ = np.moveaxis(gates.reshape(*dout.shape[:-1], 4, -1), -2, 0).copy()
+    da = np.empty(gates.shape)
     dh_rec = dc_rec = 0.0
-    for t in range(dout.shape[-2] - 1, -1, -1):
-        i, f, o, g, tanh_c, c_prev = (
-            cc[k][..., t, :] for k in ("i", "f", "o", "g", "tanh_c", "c_prev")
-        )
-        dh = dout[..., t, :] + dh_rec
-        dc = dh * o * (1.0 - tanh_c**2) + dc_rec
-        da_i, da_f = dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f)
-        da_o, da_c = dh * tanh_c * o * (1.0 - o), dc * i * (1.0 - g**2)
-        da[..., t, :] = np.concatenate((da_i, da_f, da_o, da_c), axis=-1)
+    for t in range(len(dout) - 1, -1, -1):
+        i, f, o, g = i_[t], f_[t], o_[t], g_[t]
+        dh = dout[t] + dh_rec
+        dc = dh * o * (1.0 - tanh_c[t] ** 2) + dc_rec
+        da_i, da_f = dc * g * i * (1.0 - i), dc * c[t] * f * (1.0 - f)
+        da_o, da_c = dh * tanh_c[t] * o * (1.0 - o), dc * i * (1.0 - g**2)
+        da[t] = np.concatenate((da_i, da_f, da_o, da_c), axis=-1)
         dc_rec = dc * f
-        dh_rec = da[..., t, :] @ p.R
-    return da, _sum_outer(da, cc["h_prev"])
+        dh_rec = da[t] @ p.R
+    return da, _sum_outer(da, cc["h"][:-1])
 
 
 def _gru_backward(p: CellParams, cc, dout):
-    """Stacked gate gradients da[..., T, 3H] and d(loss)/dR, given the
+    """Stacked gate gradients da[T, ..., 3H] and d(loss)/dR, given the
     gradient dout reaching each step's state from the head."""
-    H = dout.shape[-1]
+    H, gates, c = dout.shape[-1], cc["gates"], cc["c"]
     R_rz, R_n = p.R[: 2 * H], p.R[2 * H :]
-    da = np.empty((*dout.shape[:-1], 3 * H))
+    r_, z_, n_ = np.moveaxis(gates.reshape(*dout.shape[:-1], 3, -1), -2, 0).copy()
+    rc = r_ * c[:-1]  # the reset-scaled state R_n acted on
+    da = np.empty(gates.shape)
     dc_rec = 0.0
-    for t in range(dout.shape[-2] - 1, -1, -1):
-        r, z, n, c_prev = (cc[k][..., t, :] for k in ("r", "z", "n", "c_prev"))
-        dc = dout[..., t, :] + dc_rec
+    for t in range(len(dout) - 1, -1, -1):
+        r, z, n = r_[t], z_[t], n_[t]
+        dc = dout[t] + dc_rec
         da_n = dc * (1.0 - z) * (1.0 - n**2)
         d_rc = da_n @ R_n
-        da_r, da_z = d_rc * c_prev * r * (1.0 - r), dc * (c_prev - n) * z * (1.0 - z)
-        da[..., t, :] = np.concatenate((da_r, da_z, da_n), axis=-1)
-        dc_rec = dc * z + d_rc * r + da[..., t, : 2 * H] @ R_rz
+        da_r, da_z = d_rc * c[t] * r * (1.0 - r), dc * (c[t] - n) * z * (1.0 - z)
+        da[t] = np.concatenate((da_r, da_z, da_n), axis=-1)
+        dc_rec = dc * z + d_rc * r + da[t, ..., : 2 * H] @ R_rz
     # rows of R_n multiply the reset-scaled state, the others the plain state
-    dR_rz, dR_n = _sum_outer(da[..., : 2 * H], cc["c_prev"]), _sum_outer(da[..., 2 * H :], cc["rc"])
+    dR_rz, dR_n = _sum_outer(da[..., : 2 * H], c[:-1]), _sum_outer(da[..., 2 * H :], rc)
     return da, np.vstack((dR_rz, dR_n))

@@ -1,7 +1,9 @@
 """Cross-entropy loss, token accuracy, Adam, training/eval loops, checkpoints."""
 
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -15,11 +17,12 @@ from .bioes import (
     ALL_TAGS,
     CATEGORIES,
     EntitySpan,
+    InvalidTagSequenceError,
     Tag,
     decode_spans,
     id_to_tag,
     tag_strings,
-    validate_sequence,
+    validate_sequence,  # unused here; the traced benchmark patches it under this module
 )
 from .corpus import TaggedSentence, Vocabulary, build_vocab, encode_sentence
 from .model import (
@@ -59,12 +62,13 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "epsilon"):
+            if not 0 < getattr(self, name) < math.inf:  # also False for NaN
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError(f"max_len must be None or >= 1, got {self.max_len}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.batch_size < 1:
@@ -561,33 +565,22 @@ class EvalResult:
 
     def top_confusions(self, n: int = 5):
         """Largest off-diagonal confusion cells as (gold, predicted, count)."""
-        cells = []
-        K = self.confusion.shape[0]
-        for gi in range(K):
-            for pi in range(K):
-                if gi != pi and self.confusion[gi, pi]:
-                    cells.append((str(id_to_tag(gi)), str(id_to_tag(pi)), int(self.confusion[gi, pi])))
-        cells.sort(key=lambda c: (-c[2], c[0], c[1]))
-        return cells[:n]
+        off = self.confusion * (1 - np.eye(len(self.confusion), dtype=np.int64))
+        cells = [(str(id_to_tag(g)), str(id_to_tag(p)), int(off[g, p])) for g, p in zip(*off.nonzero())]
+        return sorted(cells, key=lambda c: (-c[2], c[0], c[1]))[:n]
 
 
 def _spans_lenient(tags) -> list[EntitySpan]:
     """Spans from a possibly ill-formed sequence: a strict decode when the
     grammar holds, otherwise each maximal same-category run is one span."""
-    if validate_sequence(tags) is None:
+    with contextlib.suppress(InvalidTagSequenceError):
         return decode_spans(tags)
-    spans = []
-    start = None
-    current = None
-    for i, tag in enumerate(tags):
-        cat = tag.category
-        if cat != current:
-            if current is not None:
-                spans.append(EntitySpan(start, i - 1, current))
-            start = i if cat is not None else None
-            current = cat
-    if current is not None:
-        spans.append(EntitySpan(start, len(tags) - 1, current))
+    spans, start = [], 0
+    for category, run in itertools.groupby(tags, key=lambda tag: tag.category):
+        n = len(list(run))
+        if category is not None:
+            spans.append(EntitySpan(start, start + n - 1, category))
+        start += n
     return spans
 
 
@@ -613,22 +606,17 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
         pred_ids = np.argmax(log_probs, axis=1)
         correct += token_accuracy(log_probs, tag_ids, mask) * mask.sum()
         total += mask.sum()
-        for g, p in zip(tag_ids, pred_ids):
-            confusion[g, p] += 1
+        np.add.at(confusion, (tag_ids, pred_ids), 1)
         pred_tags = [id_to_tag(int(i)) for i in pred_ids]
-        gold_spans = set(map(_span_key, _spans_lenient(s.tags)))
-        pred_spans = set(map(_span_key, _spans_lenient(pred_tags)))
+        gold_spans = set(_spans_lenient(s.tags))
+        pred_spans = set(_spans_lenient(pred_tags))
         for span in gold_spans:
-            scores[span[2]].gold += 1
+            scores[span.category].gold += 1
         for span in pred_spans:
-            scores[span[2]].predicted += 1
+            scores[span.category].predicted += 1
             if span in gold_spans:
-                scores[span[2]].matched += 1
+                scores[span.category].matched += 1
     return EvalResult(correct / total, scores, confusion)
-
-
-def _span_key(span: EntitySpan):
-    return (span.start, span.end, span.category)
 
 
 def predict_lines(

@@ -164,6 +164,23 @@ def test_train_missing_output_directory_fails_before_training(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"), ("--max-len", "0", "max_len")],
+)
+def test_train_bad_hyperparameter_exits_4_without_checkpoint(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "m.ckpt"
+    code = main(
+        [
+            "train", "--data", str(DATA / "overfit"), "--cell", "lstm",
+            "--out", str(out), "--iterations", "2", flag, value,
+        ]
+    )
+    assert code == EXIT_FORMAT
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_accepts_bare_csv_directory(tmp_path):
     out = tmp_path / "m.ckpt"
     code = main(

@@ -165,6 +165,16 @@ class TestGruStep:
         assert state.h is state.c
 
 
+@pytest.mark.parametrize("kind", [LSTM, GRU])
+def test_step_shape_mismatch_names_shapes(kind):
+    cfg = ModelConfig(kind, 9, 2, 3, 5, seed=0)
+    p, step = init_params(cfg).cell, lstm_step if kind == LSTM else gru_step
+    with pytest.raises(ValueError, match=r"expected shape \(5, 2\), got \(2,\)"):
+        step(p, np.zeros(2), zero_state(cfg, (5,)))  # would broadcast without the check
+    with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(4,\)"):
+        step(p, np.zeros(4), zero_state(cfg))
+
+
 class TestForward:
     def test_rows_normalize(self):
         for kind in (LSTM, GRU):
@@ -260,6 +270,21 @@ class TestBackward:
         for row, n in enumerate(LENGTHS):
             single, _ = model_forward(params, ids[row, :n])
             assert np.abs(lp[row, :n] - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [LSTM, GRU])
+    def test_forward_equals_public_step_loop(self, kind):
+        # one source of cell math: the batched forward and the step API agree
+        params, ids, gold, mask = self.make_batch(kind)
+        lp, caches = model_forward(params, ids, mask)
+        step = lstm_step if kind == LSTM else gru_step
+        states = caches["h" if kind == LSTM else "c"]  # time-first, row 0 the zero state
+        for row, n in enumerate(LENGTHS):
+            state = zero_state(params.config)
+            for t in range(n):
+                state = step(params.cell, params.embedding[ids[row, t]], state)
+                manual = log_softmax(np.maximum(params.dense_w @ state.h + params.dense_b, 0.0))
+                assert np.abs(states[t + 1, row] - state.h).max() <= 1e-12
+                assert np.abs(lp[row, t] - manual).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     def test_batch_gradient_is_token_weighted_sum(self, kind):

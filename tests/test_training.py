@@ -493,6 +493,28 @@ def overfit_train():
     return sentences
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("learning_rate", -math.inf),
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.01),
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("epsilon", 0.0),
+        ("max_len", 0),
+        ("max_len", -3),
+    ],
+)
+def test_train_config_rejects_bad_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+    TrainConfig(max_len=1)  # the smallest cap and no cap are both accepted
+    TrainConfig(max_len=None)
+
+
 class TestTrain:
     def test_empty_split(self):
         with pytest.raises(ValueError, match="empty"):
@@ -601,6 +623,20 @@ class TestSpansLenient:
 
 
 class TestEvaluate:
+    def test_each_sequence_validated_at_most_once(self, overfit_train, monkeypatch):
+        import arabner.bioes
+
+        real, calls = arabner.bioes.validate_sequence, []
+
+        def counting(tags):
+            calls.append(len(tags))
+            return real(tags)
+
+        monkeypatch.setattr(arabner.bioes, "validate_sequence", counting)
+        monkeypatch.setattr(arabner.training, "validate_sequence", counting)
+        evaluate(make_checkpoint(), overfit_train)  # untrained: many ill-formed predictions
+        assert 0 < len(calls) <= 2 * len(overfit_train)
+
     def test_all_outside_zero_model(self):
         # all-zero params predict class 0 (O) everywhere via the argmax tie-break
         from arabner.corpus import Vocabulary
