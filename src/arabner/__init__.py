@@ -26,6 +26,7 @@ from .model import (
     LSTM,
     ModelConfig,
     ModelParams,
+    RowGrad,
     count_params,
     gru_step,
     init_params,

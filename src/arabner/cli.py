@@ -7,7 +7,8 @@ Exit codes:
   3  I/O error, including non-UTF-8 input at the boundary
   4  data format error (corpus layout, headers, bad values, empty splits)
   5  checkpoint error or config/fingerprint mismatch
-  6  numeric failure (training diverged; last good checkpoint is saved)
+  6  numeric failure: training diverged (the last good checkpoint is saved),
+     or eval/predict met non-finite model outputs
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .model import GRU, LSTM, ModelConfig, count_params
 from .textnorm import normalize_text
 from .training import (
     CheckpointError,
+    NonFiniteOutputError,
     TrainConfig,
     TrainingDivergedError,
     evaluate,
@@ -247,6 +249,9 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except NonFiniteOutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except UnicodeDecodeError as exc:
         print(f"error: input is not valid UTF-8 ({exc})", file=sys.stderr)
         return EXIT_IO

@@ -223,8 +223,25 @@ def model_forward(params: ModelParams, token_ids, mask=None):
     return np.moveaxis(log_probs, 0, -2), caches
 
 
+# no caller in the package; kept because the traced benchmark patches it by name
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+
+
+@dataclass
+class RowGrad:
+    """Gradient of a `shape` tensor that is zero outside its rows `rows`
+    (sorted, unique): row rows[k] holds values[k].  np.asarray gives the
+    dense array."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, ...]
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype or self.values.dtype)
+        dense[self.rows] = self.values
+        return dense
 
 
 def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,9 +250,12 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.tensordot(a, b, (lead, lead))
 
 
-def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict[str, np.ndarray]:
+def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict:
     """Backpropagation through time; returns d(loss)/d(tensor) keyed like
-    ModelParams.named_tensors().  Mask-0 positions contribute nothing."""
+    ModelParams.named_tensors().  Mask-0 positions contribute nothing.
+
+    The embedding gradient is a RowGrad over the token ids of the batch;
+    every other gradient is a dense array."""
     cfg = params.config
     if caches["kind"] != cfg.cell_kind:
         raise ValueError(
@@ -254,14 +274,20 @@ def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict
     da, dR = backward(params.cell, caches, d_pre @ params.dense_w)
 
     lead = tuple(range(da.ndim - 1))
-    grads = zero_gradients(params)
-    np.add.at(grads["embedding"], np.moveaxis(caches["token_ids"], -1, 0), da @ params.cell.W)
-    grads["cell.W"] = _sum_outer(da, caches["x"])
-    grads["cell.R"] = dR
-    grads["cell.b"] = da.sum(axis=lead)
-    grads["dense_w"] = _sum_outer(d_pre, caches.get("h", caches["c"])[1:])
-    grads["dense_b"] = d_pre.sum(axis=lead)
-    return grads
+    # time-first, as da, so each row sums its positions in the order a dense
+    # V x E scatter would; flat ids give a flat inverse on every numpy
+    ids = np.moveaxis(caches["token_ids"], -1, 0).reshape(-1)
+    rows, where = np.unique(ids, return_inverse=True)
+    values = np.zeros((len(rows), cfg.embed_dim))
+    np.add.at(values, where, (da @ params.cell.W).reshape(-1, cfg.embed_dim))
+    return {
+        "embedding": RowGrad(rows, values, params.embedding.shape),
+        "cell.W": _sum_outer(da, caches["x"]),
+        "cell.R": dR,
+        "cell.b": da.sum(axis=lead),
+        "dense_w": _sum_outer(d_pre, caches.get("h", caches["c"])[1:]),
+        "dense_b": d_pre.sum(axis=lead),
+    }
 
 
 def _lstm_backward(p: CellParams, cc, dout):

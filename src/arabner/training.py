@@ -30,6 +30,7 @@ from .model import (
     LSTM,
     ModelConfig,
     ModelParams,
+    RowGrad,
     count_params,
     init_params,
     model_backward,
@@ -40,9 +41,9 @@ from .model import (
 from .textnorm import NormalizationConfig, DEFAULT_CONFIG, normalize_text
 
 CHECKPOINT_VERSION = 1
-# Elements of one tensor that adam_step updates per pass: its scratch
-# buffers (256 KiB each) stay in cache, where tensor-sized temporaries of
-# the 587k-entry embedding would not.
+# Elements of one tensor that adam_step's weight update handles per pass:
+# its scratch buffers (256 KiB each) stay in cache, where tensor-sized
+# temporaries of the 587k-entry embedding would not.
 ADAM_BLOCK = 32768
 # Padded positions of one inference batch; enough rows to amortize the
 # per-timestep numpy calls, few enough that the caches stay small.
@@ -85,8 +86,17 @@ class NonFiniteGradientError(ValueError):
         self.tensor_name = tensor_name
 
 
+class NonFiniteOutputError(RuntimeError):
+    """The model's log-probs hold NaN or infinity: its weights have diverged,
+    and no tag or metric read from them would mean anything."""
+
+    def __init__(self):
+        super().__init__("the model's log-probs are not finite (its weights have diverged)")
+
+
 class TrainingDivergedError(RuntimeError):
-    """Loss or gradients became non-finite; carries the last good checkpoint."""
+    """Loss, gradients or validation log-probs became non-finite; carries
+    the last good checkpoint."""
 
     def __init__(self, step: int, reason: str, checkpoint: "Checkpoint"):
         super().__init__(f"training diverged at step {step}: {reason}")
@@ -152,16 +162,23 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConfig):
     """One Adam update, in place, over every parameter tensor.
 
-    All gradients are checked finite before any tensor is touched, so a
-    failure leaves params and state exactly as they were.  Each tensor is
-    updated ADAM_BLOCK elements at a time through two block-sized scratch
-    buffers, with the operations of the textbook update in its order:
+    A gradient is a dense array or a RowGrad, which is zero outside its
+    rows; a dense array counts as a RowGrad over all rows.  All gradients
+    are checked finite before any tensor is touched, so a failure leaves
+    params and state exactly as they were.  Each tensor takes the
+    operations of the textbook update in its order,
 
         m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
-        p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps),
+
+    but adds the gradient terms only on the gradient's rows (elsewhere they
+    are + 0.0, which changes no bit while b1 > 0.5 keeps m from decaying
+    to -0.0).  The decays run in place over whole tensors and the p update
+    ADAM_BLOCK elements at a time through two block-sized scratch buffers.
     """
-    for name, _ in params.named_tensors():
-        if not np.all(np.isfinite(grads[name])):
+    sparse = {name: _rows_and_values(grads[name]) for name, _ in params.named_tensors()}
+    for name, (_, g) in sparse.items():
+        if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(name)
     state.t += 1
     t = state.t
@@ -170,17 +187,16 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     bc2 = 1.0 - b2**t
     scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, arr in params.named_tensors():
-        flat = [x.reshape(-1, copy=False) for x in (arr, state.m[name], state.v[name])]
-        g_all = grads[name].reshape(-1)
-        for lo in range(0, g_all.size, ADAM_BLOCK):
+        rows, g = sparse[name]
+        m_all, v_all = state.m[name], state.v[name]
+        m_all *= b1
+        m_all[rows] += g * (1.0 - b1)
+        v_all *= b2
+        v_all[rows] += (g * (1.0 - b2)) * g
+        flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
+        for lo in range(0, arr.size, ADAM_BLOCK):
             p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
-            g = g_all[lo : lo + ADAM_BLOCK]
-            a, b = scratch_a[: g.size], scratch_b[: g.size]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=a)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
-            v += np.multiply(a, g, out=a)
+            a, b = scratch_a[: p.size], scratch_b[: p.size]
             np.divide(m, bc1, out=a)
             a *= lr
             np.divide(v, bc2, out=b)
@@ -188,6 +204,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
             b += eps
             p -= np.divide(a, b, out=a)
     return params, state
+
+
+def _rows_and_values(grad):
+    """(rows, values) of a RowGrad; a dense gradient covers all rows."""
+    if isinstance(grad, RowGrad):
+        return grad.rows, grad.values
+    return slice(None), np.asarray(grad)
 
 
 @dataclass
@@ -460,7 +483,8 @@ def _batched_log_probs(params: ModelParams, rows):
     by length, a batch takes the next rows while their count times the
     longest one stays within INFERENCE_POSITIONS (a longer row runs alone).
     Shorter rows are padded at the end, after their last real position, so
-    the padding does not change their values.  Only one batch is held at a
+    the padding does not change their values.  A batch with a non-finite
+    log-prob raises NonFiniteOutputError.  Only one batch is held at a
     time, so a caller that reduces each row as it comes keeps the memory of
     one batch, not of every row.
     """
@@ -477,7 +501,10 @@ def _batched_log_probs(params: ModelParams, rows):
         for b, i in enumerate(batch):
             ids[b, : lengths[i]] = rows[i]
             mask[b, : lengths[i]] = 1.0
-        log_probs, _ = model_forward(params, ids, mask)  # positional, as the benchmark tracer's hook takes it
+        with np.errstate(over="ignore", invalid="ignore"):  # reported once below, not as warnings
+            log_probs, _ = model_forward(params, ids, mask)  # positional, as the benchmark tracer's hook takes it
+        if not np.isfinite(log_probs).all():
+            raise NonFiniteOutputError()
         for b, i in enumerate(batch):
             yield i, log_probs[b, : lengths[i]]
         start = stop
@@ -494,8 +521,9 @@ def train(
     The vocabulary is built from the training split; model_cfg.vocab_size
     is replaced by the real vocabulary size.  Batch loss is the mean over
     masked tokens of the whole batch.  Validation loss/accuracy are
-    recorded every eval_every steps.  Non-finite loss or gradients abort
-    with TrainingDivergedError carrying the last good checkpoint.
+    recorded every eval_every steps.  Non-finite loss, gradients or
+    validation log-probs abort with TrainingDivergedError carrying the last
+    good checkpoint.
     """
     if not train_split:
         raise ValueError("training split is empty")
@@ -536,7 +564,10 @@ def train(
         except NonFiniteGradientError as exc:
             raise TrainingDivergedError(step, str(exc), snapshot(step - 1)) from exc
         if encoded_valid and step % train_cfg.eval_every == 0:
-            vloss, vacc = _split_metrics(params, encoded_valid)
+            try:
+                vloss, vacc = _split_metrics(params, encoded_valid)
+            except NonFiniteOutputError as exc:
+                raise TrainingDivergedError(step, str(exc), snapshot(step)) from exc
             records.append(MetricRecord(step, "valid", vloss, vacc))
 
     return TrainResult(snapshot(train_cfg.iterations), records, truncated)

@@ -8,6 +8,7 @@ from arabner.cli import (
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_MISMATCH,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATIONS,
     main,
@@ -322,3 +323,34 @@ def test_predict_malformed_manifest_exits_5(trained, tmp_path, capsys):
     src.write_text("سافر أحمد\n", encoding="utf-8")
     assert main(["predict", "--ckpt", str(bad), "--input", str(src)]) == EXIT_MISMATCH
     assert "vocabulary" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def diverged(tmp_path_factory):
+    """One step at lr 1e308: finite weights whose outputs overflow."""
+    out = tmp_path_factory.mktemp("diverged") / "model.ckpt"
+    code = main(
+        [
+            "train", "--data", str(DATA / "overfit" / "train"), "--cell", "lstm",
+            "--out", str(out), "--iterations", "1", "--lr", "1e308",
+        ]
+    )
+    assert code == EXIT_OK
+    return out
+
+
+def test_predict_non_finite_outputs_exit_6(diverged, tmp_path, capsys):
+    src = tmp_path / "input.txt"
+    src.write_text("سافر أحمد إلى بغداد\n", encoding="utf-8")
+    assert main(["predict", "--ckpt", str(diverged), "--input", str(src)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no tags, not a line of O
+    assert "not finite" in captured.err
+
+
+def test_eval_non_finite_outputs_exit_6(diverged, capsys):
+    code = main(["eval", "--ckpt", str(diverged), "--data", str(DATA / "overfit"), "--split", "test"])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err

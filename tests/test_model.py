@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -291,22 +292,42 @@ class TestBackward:
         params, ids, gold, mask = self.make_batch(kind)
         lp, caches = model_forward(params, ids, mask)
         _, d = cross_entropy_loss(lp, gold, mask)
-        batch = model_backward(params, caches, d)
+        batch = {name: np.asarray(g) for name, g in model_backward(params, caches, d).items()}
         total = {name: np.zeros_like(g) for name, g in batch.items()}
         for row, n in enumerate(LENGTHS):
             lp1, caches1 = model_forward(params, ids[row, :n])
             _, d1 = cross_entropy_loss(lp1, gold[row, :n], np.ones(n))
             for name, g in model_backward(params, caches1, d1).items():
-                total[name] += g * n / sum(LENGTHS)
+                total[name] += np.asarray(g) * n / sum(LENGTHS)
         for name in batch:
             assert np.abs(batch[name] - total[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("kind", [LSTM, GRU])
+    def test_row_sparse_embedding_gradient_is_the_dense_scatter(self, kind):
+        params, ids, gold, mask = self.make_batch(kind)
+        ids[:, ::2] = np.where(mask[:, ::2] > 0, 5, 0)  # row 5 sums six positions
+        lp, caches = model_forward(params, ids, mask)
+        _, d = cross_entropy_loss(lp, gold, mask)
+        grad = model_backward(params, caches, d)["embedding"]
+        # each position's own gradient: the same model with one embedding row per position
+        own = dataclasses.replace(
+            params,
+            config=dataclasses.replace(params.config, vocab_size=ids.size),
+            embedding=params.embedding[ids].reshape(ids.size, -1),
+        )
+        _, own_caches = model_forward(own, np.arange(ids.size).reshape(ids.shape), mask)
+        per_position = model_backward(own, own_caches, d)["embedding"].values.reshape(*ids.shape, -1)
+        dense = np.zeros_like(params.embedding)
+        np.add.at(dense, ids.T, per_position.transpose(1, 0, 2))  # time-first, as the backward
+        assert np.array_equal(grad.rows, np.unique(ids))
+        assert np.asarray(grad).tobytes() == dense.tobytes()
 
     def test_zero_upstream_gives_zero_grads(self):
         for kind in (LSTM, GRU):
             params, ids, gold, mask = self.make(kind)
             _, caches = model_forward(params, ids, mask)
             grads = model_backward(params, caches, np.zeros((5, 13)))
-            assert all(np.all(g == 0.0) for g in grads.values())
+            assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
 
     def test_unused_embedding_rows_zero(self):
         params, ids, gold, mask = self.make(LSTM)
@@ -315,7 +336,7 @@ class TestBackward:
         grads = model_backward(params, caches, d)
         unused = set(range(13)) - set(int(i) for i in ids)
         for row in unused:
-            assert np.all(grads["embedding"][row] == 0.0)
+            assert np.all(np.asarray(grads["embedding"])[row] == 0.0)
 
     def test_masked_positions_contribute_nothing(self):
         for kind in (LSTM, GRU):

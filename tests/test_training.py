@@ -16,7 +16,16 @@ import arabner.training
 from arabner.cli import EXIT_MISMATCH, EXIT_OK, main
 from arabner.bioes import EntitySpan, id_to_tag, parse_tag, tag_strings
 from arabner.corpus import TaggedSentence, encode_sentence, read_corpus
-from arabner.model import GRU, LSTM, ModelConfig, init_params, count_params, model_forward
+from arabner.model import (
+    GRU,
+    LSTM,
+    ModelConfig,
+    RowGrad,
+    count_params,
+    init_params,
+    model_backward,
+    model_forward,
+)
 from arabner.training import (
     AdamState,
     Checkpoint,
@@ -216,6 +225,60 @@ class TestAdam:
             assert a.tobytes() == p.tobytes(), n
             assert state.m[n].tobytes() == m.tobytes(), n
             assert state.v[n].tobytes() == v.tobytes(), n
+
+    def test_row_sparse_update_is_the_textbook_dense_update_bit_for_bit(self):
+        # the embedding (700 x 50) spans two ADAM_BLOCK passes; each step's
+        # ragged batch repeats ids, pads with row 0 and touches a few of the
+        # pool's rows, so every row is left untouched by some steps
+        params = init_params(ModelConfig(GRU, 700, 50, 3, 5, seed=4))
+        assert params.embedding.size > arabner.training.ADAM_BLOCK
+        cfg = TrainConfig(learning_rate=0.01)
+        state = AdamState.for_params(params)
+        ref = {n: [a.copy(), np.zeros_like(a), np.zeros_like(a)] for n, a in params.named_tensors()}
+        rng = np.random.default_rng(6)
+        pool = np.array([1, 2, 3, 300, 654, 655, 656, 699])
+        steps = []
+        for t in range(1, 6):
+            mask = (np.arange(4) < np.array([4, 2, 3])[:, None]).astype(float)
+            ids = np.where(mask > 0, rng.choice(rng.choice(pool, 3, replace=False), mask.shape), 0)
+            lp, caches = model_forward(params, ids, mask)
+            _, d = cross_entropy_loss(lp, rng.integers(0, 5, mask.shape), mask)
+            grads = model_backward(params, caches, d)
+            assert isinstance(grads["embedding"], RowGrad)
+            steps.append(set(grads["embedding"].rows.tolist()))
+            dense = {n: np.asarray(g) for n, g in grads.items()}
+            adam_step(params, grads, state, cfg)
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for n, (p, m, v) in ref.items():
+                g = dense[n]
+                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        assert all(0 in rows for rows in steps)  # the PAD row
+        touched = set.union(*steps) - {0}
+        assert min(touched) < 655 < max(touched)  # rows of both blocks
+        assert not any(all(r in rows for rows in steps) for r in touched)
+        for n, a in params.named_tensors():
+            p, m, v = ref[n]
+            assert a.tobytes() == p.tobytes(), n
+            assert state.m[n].tobytes() == m.tobytes(), n
+            assert state.v[n].tobytes() == v.tobytes(), n
+
+    def test_non_finite_row_gradient_rejected_before_mutation(self):
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        grads = {n: np.ones_like(a) for n, a in params.named_tensors()}
+        adam_step(params, grads, state, TrainConfig())  # non-zero moments to compare
+        before = [copy.deepcopy(x) for x in (dict(params.named_tensors()), state.m, state.v)]
+        values = np.ones((2, params.embedding.shape[1]))
+        values[1, 0] = np.nan
+        grads["embedding"] = RowGrad(np.array([1, 3]), values, params.embedding.shape)
+        with pytest.raises(NonFiniteGradientError) as exc:
+            adam_step(params, grads, state, TrainConfig())
+        assert exc.value.tensor_name == "embedding"
+        assert state.t == 1
+        for old, new in zip(before, (dict(params.named_tensors()), state.m, state.v)):
+            assert all(old[n].tobytes() == new[n].tobytes() for n in old)
 
     def test_non_finite_gradient_rejected_before_mutation(self):
         params = tiny_params()
@@ -610,6 +673,18 @@ class TestTrain:
         assert exc.value.step == 2
         assert exc.value.checkpoint.iterations == 1
         assert "dense_b" in str(exc.value)
+
+
+    def test_non_finite_validation_outputs_diverge(self, overfit_train):
+        valid, _ = read_corpus(DATA / "overfit" / "valid")
+        with pytest.raises(TrainingDivergedError, match="not finite") as exc:
+            train(
+                overfit_train,
+                ModelConfig(LSTM, 2, 6, 6, seed=1),
+                TrainConfig(learning_rate=1e308, iterations=3, seed=1, eval_every=1),
+                valid,
+            )
+        assert exc.value.step == 1
 
 
 class TestSpansLenient:
