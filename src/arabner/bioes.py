@@ -52,6 +52,7 @@ ALL_TAGS: tuple[Tag, ...] = (OUTSIDE,) + tuple(
 NUM_TAGS = len(ALL_TAGS)  # 37
 
 _TAG_TO_ID = {tag: i for i, tag in enumerate(ALL_TAGS)}
+_STR_TO_TAG = {str(tag): tag for tag in ALL_TAGS}
 
 
 def tag_to_id(tag: Tag) -> int:
@@ -70,17 +71,18 @@ def tag_strings() -> list[str]:
 
 
 def parse_tag(s: str) -> Tag:
-    """Parse "O" or "<prefix>-<category>"; raises TagParseError otherwise."""
-    if s == "O":
-        return OUTSIDE
+    """Parse "O" or "<prefix>-<category>" to its ALL_TAGS member; raises
+    TagParseError otherwise."""
+    tag = _STR_TO_TAG.get(s)
+    if tag is not None:
+        return tag
     prefix, sep, category = s.partition("-")
     if not sep:
         raise TagParseError(f"malformed tag {s!r}: expected 'O' or '<prefix>-<category>'")
     if prefix not in PREFIXES:
         raise TagParseError(f"unknown prefix {prefix!r} in tag {s!r}")
-    if category not in CATEGORIES:
-        raise TagParseError(f"unknown category {category!r} in tag {s!r}")
-    return Tag(prefix, category)
+    # a known prefix with a known category is in the table
+    raise TagParseError(f"unknown category {category!r} in tag {s!r}")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ Exit codes:
   3  I/O error, including non-UTF-8 input at the boundary
   4  data format error (corpus layout, headers, bad values, empty splits)
   5  checkpoint error or config/fingerprint mismatch
-  6  numeric failure: training diverged (the last good checkpoint is saved),
-     or eval/predict met non-finite model outputs
+  6  numeric failure: training diverged (the last good checkpoint and the
+     metric log are written), or eval/predict met non-finite model outputs
 """
 
 import argparse
@@ -24,6 +24,7 @@ from .training import (
     NonFiniteOutputError,
     TrainConfig,
     TrainingDivergedError,
+    TrainResult,
     evaluate,
     load_checkpoint,
     predict_lines,
@@ -135,18 +136,23 @@ def cmd_train(args) -> int:
         seed=args.seed,
         eval_every=args.eval_every,
     )
+    diverged = None
     try:
         result = train(sentences, model_cfg, train_cfg, valid_sentences)
     except TrainingDivergedError as exc:
-        save_checkpoint(exc.checkpoint, args.out)
-        print(f"error: {exc}; last good checkpoint written to {args.out}", file=sys.stderr)
-        return EXIT_NUMERIC
+        diverged, result = exc, TrainResult(exc.checkpoint, exc.records)
     save_checkpoint(result.checkpoint, args.out)
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in result.records:
             fh.write(record.to_line() + "\n")
         for line in result.summary_lines():
             fh.write(line + "\n")
+    if diverged is not None:
+        print(
+            f"error: {diverged}; last good checkpoint written to {args.out}, metric log to {log_path}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
     cfg = result.checkpoint.config
     print(f"checkpoint={args.out} log={log_path}")
     print(f"vocab_size={cfg.vocab_size} parameters={count_params(cfg)}")

@@ -7,6 +7,7 @@ time so the rest of the pipeline only ever sees normalized tokens.
 """
 
 import csv
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,14 +25,6 @@ PAD_TAG_ID = -1
 
 class CorpusFormatError(ValueError):
     """Structurally unreadable corpus file (header, column count, encoding)."""
-
-
-@dataclass
-class CorpusRow:
-    file_name: str
-    sentence: int
-    word: str
-    tag: str
 
 
 @dataclass
@@ -119,8 +112,10 @@ def build_vocab(sentences: list[TaggedSentence], min_count: int = 1) -> Vocabula
     return Vocabulary(kept)
 
 
-def _read_rows(path: Path) -> list[tuple[int, CorpusRow]]:
-    """Parse one CSV file into (line_number, row) pairs; structural problems raise."""
+def _read_rows(path: Path):
+    """Yield (line, (file_name, sentence id), word, tag) for each row of one
+    CSV file, ``line`` being the physical line the row ends on; structural
+    problems raise."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -134,7 +129,6 @@ def _read_rows(path: Path) -> list[tuple[int, CorpusRow]]:
                 raise CorpusFormatError(
                     f"{path}:1: expected header {','.join(EXPECTED_HEADER)!r}, got {','.join(header)!r}"
                 )
-            rows = []
             for row in reader:
                 line = reader.line_num
                 if not row:
@@ -148,8 +142,7 @@ def _read_rows(path: Path) -> list[tuple[int, CorpusRow]]:
                     raise CorpusFormatError(
                         f"{path}:{line}: sentence id {sentence!r} is not an integer"
                     ) from None
-                rows.append((line, CorpusRow(file_name, sentence_id, word, tag)))
-            return rows
+                yield line, (file_name, sentence_id), word, tag
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from None
     except OSError as exc:
@@ -186,62 +179,32 @@ def read_corpus(
     report = LoadReport()
     sentences: list[TaggedSentence] = []
     for file_path in _corpus_files(Path(path)):
-        rows = _read_rows(file_path)
-        for group in _group_rows(rows, file_path, report):
-            sentence = _assemble_sentence(group, file_path, strict, norm_cfg, report)
-            if sentence is not None:
-                sentences.append(sentence)
-            else:
+        first_lines = {}  # (file_name, sentence) -> line of the pair's first row
+        for key, rows in itertools.groupby(_read_rows(file_path), key=lambda row: row[1]):
+            lines, _, words, raw_tags = zip(*rows)
+            first = first_lines.setdefault(key, lines[0])
+            if first != lines[0]:
+                where = f"({key[0]}, {key[1]}) first appeared at line {first}"
+                report.add(file_path, lines[0], f"sentence {where}; its rows are not contiguous")
+            tokens = [normalize_text(word, norm_cfg) for word in words]
+            tags = []
+            bad_rows = False
+            for line, raw in zip(lines, raw_tags):
+                try:
+                    tags.append(parse_tag(raw))
+                except TagParseError as exc:
+                    report.add(file_path, line, str(exc))
+                    bad_rows = True
+                    tags.append(OUTSIDE)  # lenient-mode coercion; strict drops the sentence
+            violation = None if bad_rows and strict else validate_sequence(tags)
+            if violation is not None:
+                where = f"({key[0]}, {key[1]}) starting at line {lines[0]}"
+                report.add(file_path, 0, f"sentence {where}: {violation}")
+            if strict and (bad_rows or violation is not None):
                 report.dropped_sentences += 1
+            else:
+                sentences.append(TaggedSentence(tokens, tags, *key))
     return sentences, report
-
-
-def _group_rows(rows, path, report):
-    group = []
-    current = None
-    first_lines = {}  # (file_name, sentence) -> line of the pair's first row
-    for line, row in rows:
-        key = (row.file_name, row.sentence)
-        if key != current:
-            if group:
-                yield group
-                group = []
-            first = first_lines.setdefault(key, line)
-            if first != line:
-                where = f"({row.file_name}, {row.sentence}) first appeared at line {first}"
-                report.add(path, line, f"sentence {where}; its rows are not contiguous")
-        current = key
-        group.append((line, row))
-    if group:
-        yield group
-
-
-def _assemble_sentence(group, path, strict, norm_cfg, report) -> TaggedSentence | None:
-    tokens = []
-    tags = []
-    bad_rows = False
-    for line, row in group:
-        tokens.append(normalize_text(row.word, norm_cfg))
-        try:
-            tags.append(parse_tag(row.tag))
-        except TagParseError as exc:
-            report.add(path, line, str(exc))
-            bad_rows = True
-            tags.append(OUTSIDE)  # lenient-mode coercion; strict drops the sentence
-    if bad_rows and strict:
-        return None
-    first_line, first_row = group[0]
-    violation = validate_sequence(tags)
-    if violation is not None:
-        report.add(
-            path,
-            0,
-            f"sentence ({first_row.file_name}, {first_row.sentence}) "
-            f"starting at line {first_line}: {violation}",
-        )
-        if strict:
-            return None
-    return TaggedSentence(tokens, tags, first_row.file_name, first_row.sentence)
 
 
 def encode_sentence(

@@ -24,7 +24,7 @@ from .bioes import (
     tag_strings,
     validate_sequence,  # unused here; the traced benchmark patches it under this module
 )
-from .corpus import TaggedSentence, Vocabulary, build_vocab, encode_sentence
+from .corpus import PAD_TAG_ID, TaggedSentence, Vocabulary, build_vocab, encode_sentence
 from .model import (
     GATES,
     LSTM,
@@ -96,12 +96,13 @@ class NonFiniteOutputError(RuntimeError):
 
 class TrainingDivergedError(RuntimeError):
     """Loss, gradients or validation log-probs became non-finite; carries
-    the last good checkpoint."""
+    the last good checkpoint and the metric records collected so far."""
 
-    def __init__(self, step: int, reason: str, checkpoint: "Checkpoint"):
+    def __init__(self, step: int, reason: str, checkpoint: "Checkpoint", records=()):
         super().__init__(f"training diverged at step {step}: {reason}")
         self.step = step
         self.checkpoint = checkpoint
+        self.records = list(records)
 
 
 def cross_entropy_loss(log_probs: np.ndarray, gold: np.ndarray, mask: np.ndarray):
@@ -475,6 +476,19 @@ def _split_metrics(params: ModelParams, encoded) -> tuple[float, float]:
     return loss, token_accuracy(log_probs, gold, mask)
 
 
+def _pad(rows, fill=0):
+    """Stack id rows of different lengths into a (B, T) int64 array, T the
+    longest row, each row padded at its end with ``fill``; the float mask
+    is 1.0 on the real positions and 0.0 on the padding."""
+    lengths = [len(row) for row in rows]
+    out = np.full((len(rows), max(lengths)), fill, dtype=np.int64)
+    mask = np.zeros(out.shape)
+    for b, (row, n) in enumerate(zip(rows, lengths)):
+        out[b, :n] = row
+        mask[b, :n] = 1.0
+    return out, mask
+
+
 def _batched_log_probs(params: ModelParams, rows):
     """Yield (i, log_probs[len(rows[i]), K]) for every non-empty id row,
     batch by batch.
@@ -496,11 +510,7 @@ def _batched_log_probs(params: ModelParams, rows):
         while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= INFERENCE_POSITIONS:
             stop += 1
         batch = order[start:stop]
-        ids = np.zeros((len(batch), lengths[batch[-1]]), dtype=np.int64)
-        mask = np.zeros(ids.shape)
-        for b, i in enumerate(batch):
-            ids[b, : lengths[i]] = rows[i]
-            mask[b, : lengths[i]] = 1.0
+        ids, mask = _pad([rows[i] for i in batch])
         with np.errstate(over="ignore", invalid="ignore"):  # reported once below, not as warnings
             log_probs, _ = model_forward(params, ids, mask)  # positional, as the benchmark tracer's hook takes it
         if not np.isfinite(log_probs).all():
@@ -519,11 +529,12 @@ def train(
     """Run `iterations` Adam steps over shuffled batches of the training split.
 
     The vocabulary is built from the training split; model_cfg.vocab_size
-    is replaced by the real vocabulary size.  Batch loss is the mean over
-    masked tokens of the whole batch.  Validation loss/accuracy are
-    recorded every eval_every steps.  Non-finite loss, gradients or
-    validation log-probs abort with TrainingDivergedError carrying the last
-    good checkpoint.
+    is replaced by the real vocabulary size.  Sentences are cut to max_len
+    tokens, and each batch is padded to its longest (cut) sentence.  Batch
+    loss is the mean over masked tokens of the whole batch.  Validation
+    loss/accuracy are recorded every eval_every steps.  Non-finite loss,
+    gradients or validation log-probs abort with TrainingDivergedError
+    carrying the last good checkpoint and the records so far.
     """
     if not train_split:
         raise ValueError("training split is empty")
@@ -533,7 +544,7 @@ def train(
     params = init_params(cfg)
     adam = AdamState.for_params(params)
 
-    encoded = [encode_sentence(s, vocab, max_len) for s in train_split]
+    encoded = [encode_sentence(s, vocab, min(len(s), max_len)) for s in train_split]
     truncated = sum(1 for s in train_split if len(s) > max_len)
     encoded_valid = (
         [encode_sentence(s, vocab, len(s)) for s in valid_split] if valid_split else []
@@ -550,24 +561,23 @@ def train(
 
     for step in range(1, train_cfg.iterations + 1):
         batch = next(batches)
-        ids, gold, m = (np.array(rows) for rows in zip(*(encoded[i] for i in batch)))
-        T = int(m.sum(axis=1).max())  # trim the padding every sentence of the batch shares
-        ids, gold, m = ids[:, :T], gold[:, :T], m[:, :T]
+        ids, m = _pad([encoded[i][0] for i in batch])
+        gold, _ = _pad([encoded[i][1] for i in batch], PAD_TAG_ID)
         log_probs, caches = model_forward(params, ids, m)
         batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
         if not np.isfinite(batch_loss):
-            raise TrainingDivergedError(step, "non-finite loss", snapshot(step - 1))
+            raise TrainingDivergedError(step, "non-finite loss", snapshot(step - 1), records)
         records.append(MetricRecord(step, "train", batch_loss, token_accuracy(log_probs, gold, m)))
         grads = model_backward(params, caches, d_log_probs)
         try:
             adam_step(params, grads, adam, train_cfg)
         except NonFiniteGradientError as exc:
-            raise TrainingDivergedError(step, str(exc), snapshot(step - 1)) from exc
+            raise TrainingDivergedError(step, str(exc), snapshot(step - 1), records) from exc
         if encoded_valid and step % train_cfg.eval_every == 0:
             try:
                 vloss, vacc = _split_metrics(params, encoded_valid)
             except NonFiniteOutputError as exc:
-                raise TrainingDivergedError(step, str(exc), snapshot(step)) from exc
+                raise TrainingDivergedError(step, str(exc), snapshot(step), records) from exc
             records.append(MetricRecord(step, "valid", vloss, vacc))
 
     return TrainResult(snapshot(train_cfg.iterations), records, truncated)
@@ -628,17 +638,13 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
         raise ValueError("evaluation split is empty")
     K = ckpt.config.num_classes
     confusion = np.zeros((K, K), dtype=np.int64)
-    correct = 0.0
-    total = 0.0
     scores = {c: CategoryScore() for c in CATEGORIES}
     encoded = [encode_sentence(s, ckpt.vocab, len(s)) for s in sentences]
     for k, log_probs in _batched_log_probs(ckpt.params, [token_ids for token_ids, _, _ in encoded]):
-        s, (_, tag_ids, mask) = sentences[k], encoded[k]
+        s, tag_ids = sentences[k], encoded[k][1]
         pred_ids = np.argmax(log_probs, axis=1)
-        correct += token_accuracy(log_probs, tag_ids, mask) * mask.sum()
-        total += mask.sum()
         np.add.at(confusion, (tag_ids, pred_ids), 1)
-        pred_tags = [id_to_tag(int(i)) for i in pred_ids]
+        pred_tags = [ALL_TAGS[i] for i in pred_ids.tolist()]
         gold_spans = set(_spans_lenient(s.tags))
         pred_spans = set(_spans_lenient(pred_tags))
         for span in gold_spans:
@@ -647,7 +653,7 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
             scores[span.category].predicted += 1
             if span in gold_spans:
                 scores[span.category].matched += 1
-    return EvalResult(correct / total, scores, confusion)
+    return EvalResult(float(np.trace(confusion) / confusion.sum()), scores, confusion)
 
 
 def predict_lines(

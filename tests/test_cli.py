@@ -283,6 +283,21 @@ def test_train_divergence_saves_last_good_checkpoint(tmp_path, monkeypatch, caps
     assert load_checkpoint(out).iterations == 3  # last good state was written
 
 
+def test_train_divergence_writes_metric_log(tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    code = main(
+        [
+            "train", "--data", str(DATA / "overfit"), "--cell", "lstm", "--out", str(out),
+            "--iterations", "5", "--eval-every", "1", "--lr", "1e308",
+        ]
+    )
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "diverged at step 1" in err and f"metric log to {out}.log" in err
+    log = (tmp_path / "m.ckpt.log").read_text(encoding="utf-8").splitlines()
+    assert len(log) == 1 and log[0].startswith("step=1 split=train loss=")
+
+
 def test_predict_multiple_sentences(trained, tmp_path, capsys):
     src = tmp_path / "input.txt"
     src.write_text("سافر أحمد\n\nزار عمر\n", encoding="utf-8")

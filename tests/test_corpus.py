@@ -133,6 +133,38 @@ def test_hard_errors(tmp_path):
         read_corpus(bad)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_reader_edge_cases(tmp_path, strict):
+    p = tmp_path / "edge.csv"
+    p.write_bytes(
+        (
+            "﻿file_name,sentence,word,tag\r\n"  # line 1: UTF-8 BOM before the header
+            "f,01,كَلمة,B-PER\r\n"  # line 2: id 01 is the pair (f, 1)
+            'f,1,"سَطر\nثان",I-PER\r\n'  # lines 3-4: one quoted word over two lines
+            "\r\n"  # line 5: stray blank line
+            "f,1,و,Q-PER\r\n"  # line 6: unknown tag
+            "f,2,في,O\r\n"  # line 7
+            "f,1,عاد,S-LOC\r\n"  # line 8: (f, 1) resumes
+        ).encode("utf-8")
+    )
+    sentences, report = read_corpus(p, strict=strict)
+    unknown = (6, "unknown prefix 'Q' in tag 'Q-PER'")
+    resumed = (8, "sentence (f, 1) first appeared at line 2; its rows are not contiguous")
+    kept = [(["في"], ["O"], "f", 2), (["عاد"], ["S-LOC"], "f", 1)]
+    if strict:
+        issues, dropped = [unknown, resumed], 1
+    else:
+        violation = (
+            "sentence (f, 1) starting at line 2: position 2: "
+            "O may not follow an open PER entity; expected I-PER or E-PER"
+        )
+        issues, dropped = [unknown, (0, violation), resumed], 0
+        kept.insert(0, (["كلمة", "سطر\nثان", "و"], ["B-PER", "I-PER", "O"], "f", 1))
+    assert [(i.path, i.line, i.message) for i in report.issues] == [(str(p), *i) for i in issues]
+    assert report.dropped_sentences == dropped
+    assert [(s.tokens, [str(t) for t in s.tags], s.file_name, s.sentence_id) for s in sentences] == kept
+
+
 def sent(tokens, tags=None):
     tags = tags or ["O"] * len(tokens)
     return TaggedSentence(tokens, [parse_tag(t) for t in tags])

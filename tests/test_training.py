@@ -652,6 +652,41 @@ class TestTrain:
         )
         assert calls == {"model_forward": 7, "model_backward": 7}
 
+    def test_max_len_caps_each_sentence_and_pads_to_the_batch(self, overfit_train, monkeypatch):
+        max_len, batch_size, seed = 6, 2, 4
+        steps = []
+        real = arabner.training.model_forward
+
+        def spy(*args):
+            steps.append((args[1].copy(), args[2].copy()))
+            return real(*args)
+
+        monkeypatch.setattr(arabner.training, "model_forward", spy)
+        res = train(
+            overfit_train,
+            ModelConfig(LSTM, 2, 6, 6, seed=0),
+            TrainConfig(iterations=20, seed=seed, batch_size=batch_size, max_len=max_len),
+        )
+        vocab = res.checkpoint.vocab
+        batches = arabner.training._shuffled_batches(
+            len(overfit_train), batch_size, np.random.default_rng(seed)
+        )
+        widths = set()
+        for ids, mask in steps:
+            batch = [overfit_train[i] for i in next(batches)]
+            kept = [min(len(s), max_len) for s in batch]
+            assert ids.shape == mask.shape == (batch_size, max(kept))
+            assert mask.sum(axis=1).tolist() == kept
+            for row, m, s, n in zip(ids, mask, batch, kept):
+                assert row[:n].tolist() == [vocab.lookup(t) for t in s.tokens[:n]]
+                assert (row[n:] == 0).all() and (m[:n] == 1).all() and (m[n:] == 0).all()
+            widths.add(ids.shape[1])
+        assert len(steps) == 20
+        assert max_len in widths and min(widths) < max_len  # capped batches and shorter ones
+        capped = sum(len(s) > max_len for s in overfit_train)
+        assert res.truncated_sentences == capped == 3
+        assert f"summary=train truncated_sentences={capped}" in res.summary_lines()
+
     def test_divergence_carries_last_good_checkpoint(self, overfit_train, monkeypatch):
         calls = {"n": 0}
         real = arabner.training.model_backward
@@ -827,7 +862,7 @@ class TestBatchedInference:
         calls = count_forwards(monkeypatch)
         result = evaluate(overfit_lstm, sentences)
         assert 0 < len(calls) < len(sentences)
-        assert result.token_accuracy == pytest.approx(correct / total, rel=0, abs=1e-12)
+        assert result.token_accuracy == correct / total  # trace(confusion) / confusion.sum()
         assert np.array_equal(result.confusion, confusion)
         for cat, score in result.category_scores.items():
             g = sum(1 for spans in gold_spans for sp in spans if sp.category == cat)
