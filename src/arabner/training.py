@@ -68,6 +68,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        # adam_step adds epsilon*sqrt(1 - beta2**t) to sqrt(v); at t = 1, its
+        # smallest, it must not underflow, or rows with v = 0 would take 0/0
+        if self.epsilon * math.sqrt(1.0 - self.beta2) < sys.float_info.min:
+            raise ValueError(
+                f"epsilon * sqrt(1 - beta2) must be a normal float (>= {sys.float_info.min}), "
+                f"got epsilon={self.epsilon}, beta2={self.beta2}"
+            )
         if self.max_len is not None and self.max_len < 1:
             raise ValueError(f"max_len must be None or >= 1, got {self.max_len}")
         if self.iterations < 1:
@@ -166,16 +173,24 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     A gradient is a dense array or a RowGrad, which is zero outside its
     rows; a dense array counts as a RowGrad over all rows.  All gradients
     are checked finite before any tensor is touched, so a failure leaves
-    params and state exactly as they were.  Each tensor takes the
-    operations of the textbook update in its order,
+    params and state exactly as they were.  The moments take the textbook
+    operations in their order,
 
         m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
-        p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps),
 
-    but adds the gradient terms only on the gradient's rows (elsewhere they
+    adding the gradient terms only on the gradient's rows (elsewhere they
     are + 0.0, which changes no bit while b1 > 0.5 keeps m from decaying
-    to -0.0).  The decays run in place over whole tensors and the p update
-    ADAM_BLOCK elements at a time through two block-sized scratch buffers.
+    to -0.0).  The weights take the textbook step
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) in the order of Kingma & Ba
+    (arXiv 1412.6980, section 2), one sqrt and one divide per weight:
+
+        c = sqrt(bc2),  p -= (lr*(c/bc1)) * (m / (sqrt(v) + eps*c)),
+
+    which is the same value in exact arithmetic and agrees with the
+    textbook form to a few ulps.  TrainConfig keeps eps*c above the
+    smallest normal float, so a row with m = v = 0 moves by exactly 0.
+    The decays run in place over whole tensors and the p update
+    ADAM_BLOCK elements at a time through one block-sized scratch buffer.
     """
     sparse = {name: _rows_and_values(grads[name]) for name, _ in params.named_tensors()}
     for name, (_, g) in sparse.items():
@@ -183,10 +198,12 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
             raise NonFiniteGradientError(name)
     state.t += 1
     t = state.t
-    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
+    b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    c = math.sqrt(1.0 - b2**t)
+    eps_hat = cfg.epsilon * c
+    step = cfg.learning_rate * (c / bc1)
+    scratch = np.empty(ADAM_BLOCK)
     for name, arr in params.named_tensors():
         rows, g = sparse[name]
         m_all, v_all = state.m[name], state.v[name]
@@ -197,13 +214,11 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
         flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
         for lo in range(0, arr.size, ADAM_BLOCK):
             p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
-            a, b = scratch_a[: p.size], scratch_b[: p.size]
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            p -= np.divide(a, b, out=a)
+            b = np.sqrt(v, out=scratch[: p.size])
+            b += eps_hat
+            np.divide(m, b, out=b)
+            b *= step
+            p -= b
     return params, state
 
 

@@ -219,7 +219,8 @@ class TestAdam:
                 g = grads[n]
                 m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
                 v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-                p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+                c = math.sqrt(bc2)
+                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + cfg.epsilon * c))
         for n, a in params.named_tensors():
             p, m, v = ref[n]
             assert a.tobytes() == p.tobytes(), n
@@ -253,7 +254,8 @@ class TestAdam:
                 g = dense[n]
                 m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
                 v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-                p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+                c = math.sqrt(bc2)
+                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + cfg.epsilon * c))
         assert all(0 in rows for rows in steps)  # the PAD row
         touched = set.union(*steps) - {0}
         assert min(touched) < 655 < max(touched)  # rows of both blocks
@@ -263,6 +265,52 @@ class TestAdam:
             assert a.tobytes() == p.tobytes(), n
             assert state.m[n].tobytes() == m.tobytes(), n
             assert state.v[n].tobytes() == v.tobytes(), n
+
+    @pytest.mark.parametrize("lr", [0.01, 1.0])
+    def test_update_agrees_with_textbook_form(self, lr):
+        # five steps of dense gradients and an embedding RowGrad against the
+        # three-divide form lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        params = init_params(ModelConfig(LSTM, 700, 50, 3, 5, seed=4))
+        cfg = TrainConfig(learning_rate=lr)
+        state = AdamState.for_params(params)
+        ref = {n: [a.copy(), np.zeros_like(a), np.zeros_like(a)] for n, a in params.named_tensors()}
+        rng = np.random.default_rng(7)
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=a.shape) for n, a in params.named_tensors()}
+            rows = np.unique(rng.integers(0, 700, 40))
+            grads["embedding"] = RowGrad(rows, rng.normal(size=(rows.size, 50)), params.embedding.shape)
+            adam_step(params, grads, state, cfg)
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for n, (p, m, v) in ref.items():
+                g = np.asarray(grads[n])
+                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        for n, a in params.named_tensors():
+            p, m, v = ref[n]
+            assert state.m[n].tobytes() == m.tobytes(), n
+            assert state.v[n].tobytes() == v.tobytes(), n
+            assert np.all(np.abs(a - p) <= 1e-14 * np.maximum(np.abs(p), lr)), n
+
+    def test_huge_learning_rate_leaves_zero_gradient_rows_and_stays_finite(self):
+        # at lr 1e308 the textbook lr*(m/bc1) overflows once |g| > ~1.8;
+        # lr*(c/bc1) times m/(sqrt(v) + eps*c) stays finite, and a row with
+        # m = v = 0 moves by exactly 0 (pytest turns numpy warnings into errors)
+        params = init_params(ModelConfig(GRU, 700, 50, 3, 5, seed=4))
+        before = {n: a.copy() for n, a in params.named_tensors()}
+        rng = np.random.default_rng(8)
+        grads = {n: 10.0 * rng.normal(size=a.shape) for n, a in params.named_tensors()}
+        for g in grads.values():
+            g[0] = 0.0
+        rows = np.array([1, 300, 699])
+        grads["embedding"] = RowGrad(rows, 10.0 * rng.normal(size=(3, 50)), params.embedding.shape)
+        adam_step(params, grads, AdamState.for_params(params), TrainConfig(learning_rate=1e308))
+        for n, a in params.named_tensors():
+            assert np.all(np.isfinite(a)), n
+            zero = np.all(np.asarray(grads[n]) == 0.0, axis=tuple(range(1, a.ndim)))
+            assert zero[0] and not zero.all(), n
+            assert a[zero].tobytes() == before[n][zero].tobytes(), n
+            assert np.all(a[~zero] != before[n][~zero]), n
 
     def test_non_finite_row_gradient_rejected_before_mutation(self):
         params = tiny_params()
@@ -567,6 +615,8 @@ def overfit_train():
         ("epsilon", math.nan),
         ("epsilon", math.inf),
         ("epsilon", 0.0),
+        ("epsilon", 1e-307),  # epsilon * sqrt(1 - beta2) below the smallest normal float
+        ("epsilon", 5e-324),
         ("max_len", 0),
         ("max_len", -3),
     ],
@@ -576,6 +626,8 @@ def test_train_config_rejects_bad_values(name, value):
         TrainConfig(**{name: value})
     TrainConfig(max_len=1)  # the smallest cap and no cap are both accepted
     TrainConfig(max_len=None)
+    TrainConfig(epsilon=1e-300)  # the epsilon floor scales with sqrt(1 - beta2)
+    TrainConfig(epsilon=1e-307, beta2=0.0)
 
 
 class TestTrain:
