@@ -68,7 +68,7 @@ def _data_splits(root: Path) -> dict[str, Path]:
 def cmd_validate(args) -> int:
     clean = True
     for name, path in sorted(_data_splits(Path(args.data)).items()):
-        sentences, report = read_corpus(path, strict=True)
+        sentences, report = read_corpus(path)
         print(f"split={name} sentences={len(sentences)} dropped={report.dropped_sentences}")
         for issue in report.issues:
             clean = False
@@ -79,7 +79,7 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     splits = {}
     for name, path in _data_splits(Path(args.data)).items():
-        splits[name], _ = read_corpus(path, strict=True)
+        splits[name], _ = read_corpus(path)
     stats = corpus_stats(splits)
     order = [n for n in SPLIT_NAMES if n in stats.splits] + sorted(
         n for n in stats.splits if n not in SPLIT_NAMES
@@ -100,6 +100,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _read_split(path: Path):
+    """Strict-load one split; its load report goes to stderr as warnings."""
+    sentences, report = read_corpus(path)
+    for issue in report.issues:
+        print(f"warning: {issue}", file=sys.stderr)
+    return sentences
+
+
 def cmd_train(args) -> int:
     log_path = args.log or (args.out + ".log")
     for path in (args.out, log_path):  # fail before training, not at the save after it
@@ -110,15 +118,9 @@ def cmd_train(args) -> int:
     train_dir = root / "train"
     if not train_dir.is_dir():
         train_dir = root  # a bare directory of CSVs is the training split
-    sentences, report = read_corpus(train_dir, strict=True)
-    for issue in report.issues:
-        print(f"warning: {issue}", file=sys.stderr)
+    sentences = _read_split(train_dir)
     valid_dir = root / "valid"
-    valid_sentences = None
-    if valid_dir.is_dir():
-        valid_sentences, vreport = read_corpus(valid_dir, strict=True)
-        for issue in vreport.issues:
-            print(f"warning: {issue}", file=sys.stderr)
+    valid_sentences = _read_split(valid_dir) if valid_dir.is_dir() else None
 
     model_cfg = ModelConfig(
         cell_kind=args.cell,
@@ -163,11 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    split_dir = Path(args.data) / args.split
-    sentences, report = read_corpus(split_dir, strict=True)
-    for issue in report.issues:
-        print(f"warning: {issue}", file=sys.stderr)
-    result = evaluate(ckpt, sentences)
+    result = evaluate(ckpt, _read_split(Path(args.data) / args.split))
     print(f"split={args.split} token_accuracy={result.token_accuracy:.6f}")
     print(f"{'category':<10}{'precision':>10}{'recall':>10}{'gold':>7}{'pred':>7}{'match':>7}")
     for cat in CATEGORIES:

@@ -19,9 +19,6 @@ from .textnorm import DEFAULT_CONFIG, NormalizationConfig, normalize_text
 
 EXPECTED_HEADER = ["file_name", "sentence", "word", "tag"]
 
-# tag-id slot for padded positions; always masked out of loss and accuracy
-PAD_TAG_ID = -1
-
 
 class CorpusFormatError(ValueError):
     """Structurally unreadable corpus file (header, column count, encoding)."""
@@ -98,18 +95,14 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self.id_to_token == other.id_to_token
 
 
-def build_vocab(sentences: list[TaggedSentence], min_count: int = 1) -> Vocabulary:
-    """Collect every token with frequency >= min_count.
+def build_vocab(sentences: list[TaggedSentence]) -> Vocabulary:
+    """Collect every token of the sentences.
 
     Ids are deterministic: descending frequency, ties broken by codepoint
     order, starting at 2 (after PAD and UNK).
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts = Counter(tok for s in sentences for tok in s.tokens)
-    kept = [t for t, n in counts.items() if n >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 def _read_rows(path: Path):
@@ -207,26 +200,15 @@ def read_corpus(
     return sentences, report
 
 
-def encode_sentence(
-    s: TaggedSentence, v: Vocabulary, max_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode to fixed-length (token_ids, tag_ids, mask) arrays.
-
-    Unknown tokens map to UNK; positions past the sentence length are PAD
-    with tag id PAD_TAG_ID and mask 0.  Sentences longer than max_len are
-    truncated (detectable by the caller via sum(mask) == max_len < len(s)).
-    """
+def encode_sentence(s: TaggedSentence, v: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(token_ids, tag_ids) int64 arrays of the first min(len(s), max_len)
+    tokens; unknown tokens map to UNK.  Padding a batch is the caller's."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     n = min(len(s), max_len)
-    token_ids = np.full(max_len, Vocabulary.PAD_ID, dtype=np.int64)
-    tag_ids = np.full(max_len, PAD_TAG_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.float64)
-    for i in range(n):
-        token_ids[i] = v.lookup(s.tokens[i])
-        tag_ids[i] = tag_to_id(s.tags[i])
-        mask[i] = 1.0
-    return token_ids, tag_ids, mask
+    token_ids = np.fromiter(map(v.lookup, s.tokens[:n]), dtype=np.int64, count=n)
+    tag_ids = np.fromiter(map(tag_to_id, s.tags[:n]), dtype=np.int64, count=n)
+    return token_ids, tag_ids
 
 
 @dataclass

@@ -13,15 +13,6 @@ from dataclasses import dataclass, field
 # Unicode run U+064B..U+0652.
 DEFAULT_STRIP_CODEPOINTS = frozenset(range(0x064B, 0x0652 + 1))
 
-FATHATAN = "ً"
-DAMMATAN = "ٌ"
-KASRATAN = "ٍ"
-FATHA = "َ"
-DAMMA = "ُ"
-KASRA = "ِ"
-SHADDA = "ّ"
-SUKUN = "ْ"
-
 
 @dataclass(frozen=True)
 class NormalizationConfig:

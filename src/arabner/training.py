@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .bioes import (
     tag_strings,
     validate_sequence,  # unused here; the traced benchmark patches it under this module
 )
-from .corpus import PAD_TAG_ID, TaggedSentence, Vocabulary, build_vocab, encode_sentence
+from .corpus import TaggedSentence, Vocabulary, build_vocab, encode_sentence
 from .model import (
     GATES,
     LSTM,
@@ -45,6 +45,10 @@ CHECKPOINT_VERSION = 1
 # its scratch buffers (256 KiB each) stay in cache, where tensor-sized
 # temporaries of the 587k-entry embedding would not.
 ADAM_BLOCK = 32768
+# Adam's decay rates and epsilon: the defaults of Kingma & Ba (arXiv
+# 1412.6980), under which the step factor sqrt(1-BETA2**t)/(1-BETA1**t)
+# stays at or below 1 for every t.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 # Padded positions of one inference batch; enough rows to amortize the
 # per-timestep numpy calls, few enough that the caches stay small.
 INFERENCE_POSITIONS = 512
@@ -53,9 +57,6 @@ INFERENCE_POSITIONS = 512
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     iterations: int = 500
     batch_size: int = 8
     max_len: int | None = None  # None: longest training sentence
@@ -63,18 +64,8 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        for name in ("learning_rate", "epsilon"):
-            if not 0 < getattr(self, name) < math.inf:  # also False for NaN
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        # adam_step adds epsilon*sqrt(1 - beta2**t) to sqrt(v); at t = 1, its
-        # smallest, it must not underflow, or rows with v = 0 would take 0/0
-        if self.epsilon * math.sqrt(1.0 - self.beta2) < sys.float_info.min:
-            raise ValueError(
-                f"epsilon * sqrt(1 - beta2) must be a normal float (>= {sys.float_info.min}), "
-                f"got epsilon={self.epsilon}, beta2={self.beta2}"
-            )
+        if not 0 < self.learning_rate < math.inf:  # also False for NaN
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError(f"max_len must be None or >= 1, got {self.max_len}")
         if self.iterations < 1:
@@ -179,16 +170,17 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
         m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
 
     adding the gradient terms only on the gradient's rows (elsewhere they
-    are + 0.0, which changes no bit while b1 > 0.5 keeps m from decaying
-    to -0.0).  The weights take the textbook step
+    are + 0.0, which changes no bit).  The weights take the textbook step
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) in the order of Kingma & Ba
     (arXiv 1412.6980, section 2), one sqrt and one divide per weight:
 
         c = sqrt(bc2),  p -= (lr*(c/bc1)) * (m / (sqrt(v) + eps*c)),
 
     which is the same value in exact arithmetic and agrees with the
-    textbook form to a few ulps.  TrainConfig keeps eps*c above the
-    smallest normal float, so a row with m = v = 0 moves by exactly 0.
+    textbook form to a few ulps.  With b1, b2, eps = BETA1, BETA2, EPSILON,
+    c/bc1 is at most 1 and eps*c at least eps*sqrt(1-b2), so the factor
+    lr*(c/bc1) is finite whenever lr is, and a row with m = v = 0 moves by
+    exactly 0.
     The decays run in place over whole tensors and the p update
     ADAM_BLOCK elements at a time through one block-sized scratch buffer.
     """
@@ -198,19 +190,18 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
             raise NonFiniteGradientError(name)
     state.t += 1
     t = state.t
-    b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1**t
-    c = math.sqrt(1.0 - b2**t)
-    eps_hat = cfg.epsilon * c
+    bc1 = 1.0 - BETA1**t
+    c = math.sqrt(1.0 - BETA2**t)
+    eps_hat = EPSILON * c
     step = cfg.learning_rate * (c / bc1)
     scratch = np.empty(ADAM_BLOCK)
     for name, arr in params.named_tensors():
         rows, g = sparse[name]
         m_all, v_all = state.m[name], state.v[name]
-        m_all *= b1
-        m_all[rows] += g * (1.0 - b1)
-        v_all *= b2
-        v_all[rows] += (g * (1.0 - b2)) * g
+        m_all *= BETA1
+        m_all[rows] += g * (1.0 - BETA1)
+        v_all *= BETA2
+        v_all[rows] += (g * (1.0 - BETA2)) * g
         flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
         for lo in range(0, arr.size, ADAM_BLOCK):
             p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
@@ -231,11 +222,11 @@ def _rows_and_values(grad):
 
 @dataclass
 class Checkpoint:
-    """Self-describing snapshot: config, tag ordering, vocabulary, weights."""
+    """Weights with their config, vocabulary and optimizer state; a saved
+    file adds the codec's tag ordering."""
 
     params: ModelParams
     vocab: Vocabulary
-    tag_ordering: list[str] = field(default_factory=tag_strings)
     adam: AdamState | None = None
     iterations: int = 0
     seed: int = 0
@@ -298,11 +289,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     for name, _, _, shape in layout:
         directory.append({"name": name, "shape": list(shape), "offset": offset})
         offset += 8 * math.prod(shape)
+    ordering = tag_strings()
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model": dataclasses.asdict(ckpt.config),
-        "tag_ordering": ckpt.tag_ordering,
-        "tag_fingerprint": tag_ordering_fingerprint(ckpt.tag_ordering),
+        "tag_ordering": ordering,
+        "tag_fingerprint": tag_ordering_fingerprint(ordering),
         "vocab": ckpt.vocab.id_to_token[2:],
         "tensors": directory,
         "optimizer": {"step": ckpt.adam.t} if ckpt.adam is not None else None,
@@ -426,9 +418,7 @@ def _read_checkpoint(fh, path) -> Checkpoint:
 
     if adam is not None:
         adam.t = step
-    return Checkpoint(
-        params, vocab, tag_ordering=ordering, adam=adam, iterations=iterations, seed=seed
-    )
+    return Checkpoint(params, vocab, adam=adam, iterations=iterations, seed=seed)
 
 
 @dataclass
@@ -482,21 +472,21 @@ def _shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def _split_metrics(params: ModelParams, encoded) -> tuple[float, float]:
     """Mean-per-token loss and accuracy over a whole encoded split."""
-    token_ids, tag_ids, masks = zip(*encoded)
+    token_ids, tag_ids = zip(*encoded)
     order, log_probs = zip(*_batched_log_probs(params, token_ids))
     gold = np.concatenate([tag_ids[i] for i in order])
-    mask = np.concatenate([masks[i] for i in order])
     log_probs = np.concatenate(log_probs)
+    mask = np.ones(len(gold))
     loss, _ = cross_entropy_loss(log_probs, gold, mask)
     return loss, token_accuracy(log_probs, gold, mask)
 
 
-def _pad(rows, fill=0):
+def _pad(rows):
     """Stack id rows of different lengths into a (B, T) int64 array, T the
-    longest row, each row padded at its end with ``fill``; the float mask
-    is 1.0 on the real positions and 0.0 on the padding."""
+    longest row, each row padded at its end with 0; the float mask is 1.0
+    on the real positions and 0.0 on the padding."""
     lengths = [len(row) for row in rows]
-    out = np.full((len(rows), max(lengths)), fill, dtype=np.int64)
+    out = np.zeros((len(rows), max(lengths)), dtype=np.int64)
     mask = np.zeros(out.shape)
     for b, (row, n) in enumerate(zip(rows, lengths)):
         out[b, :n] = row
@@ -527,7 +517,7 @@ def _batched_log_probs(params: ModelParams, rows):
         batch = order[start:stop]
         ids, mask = _pad([rows[i] for i in batch])
         with np.errstate(over="ignore", invalid="ignore"):  # reported once below, not as warnings
-            log_probs, _ = model_forward(params, ids, mask)  # positional, as the benchmark tracer's hook takes it
+            log_probs, _ = model_forward(params, ids, mask)
         if not np.isfinite(log_probs).all():
             raise NonFiniteOutputError()
         for b, i in enumerate(batch):
@@ -559,7 +549,7 @@ def train(
     params = init_params(cfg)
     adam = AdamState.for_params(params)
 
-    encoded = [encode_sentence(s, vocab, min(len(s), max_len)) for s in train_split]
+    encoded = [encode_sentence(s, vocab, max_len) for s in train_split]
     truncated = sum(1 for s in train_split if len(s) > max_len)
     encoded_valid = (
         [encode_sentence(s, vocab, len(s)) for s in valid_split] if valid_split else []
@@ -577,7 +567,7 @@ def train(
     for step in range(1, train_cfg.iterations + 1):
         batch = next(batches)
         ids, m = _pad([encoded[i][0] for i in batch])
-        gold, _ = _pad([encoded[i][1] for i in batch], PAD_TAG_ID)
+        gold, _ = _pad([encoded[i][1] for i in batch])
         log_probs, caches = model_forward(params, ids, m)
         batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
         if not np.isfinite(batch_loss):
@@ -619,11 +609,11 @@ class EvalResult:
     category_scores: dict[str, CategoryScore]
     confusion: np.ndarray  # [gold tag id, predicted tag id] counts
 
-    def top_confusions(self, n: int = 5):
-        """Largest off-diagonal confusion cells as (gold, predicted, count)."""
+    def top_confusions(self):
+        """The five largest off-diagonal confusion cells as (gold, predicted, count)."""
         off = self.confusion * (1 - np.eye(len(self.confusion), dtype=np.int64))
         cells = [(str(id_to_tag(g)), str(id_to_tag(p)), int(off[g, p])) for g, p in zip(*off.nonzero())]
-        return sorted(cells, key=lambda c: (-c[2], c[0], c[1]))[:n]
+        return sorted(cells, key=lambda c: (-c[2], c[0], c[1]))[:5]
 
 
 def _spans_lenient(tags) -> list[EntitySpan]:
@@ -647,15 +637,13 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
     scores compare exact (start, end, category) triples; predictions are
     decoded leniently since the model may emit ill-formed transitions.
     """
-    if ckpt.tag_ordering != tag_strings():
-        raise CheckpointError("checkpoint tag ordering does not match this codec")
     if not sentences:
         raise ValueError("evaluation split is empty")
     K = ckpt.config.num_classes
     confusion = np.zeros((K, K), dtype=np.int64)
     scores = {c: CategoryScore() for c in CATEGORIES}
     encoded = [encode_sentence(s, ckpt.vocab, len(s)) for s in sentences]
-    for k, log_probs in _batched_log_probs(ckpt.params, [token_ids for token_ids, _, _ in encoded]):
+    for k, log_probs in _batched_log_probs(ckpt.params, [token_ids for token_ids, _ in encoded]):
         s, tag_ids = sentences[k], encoded[k][1]
         pred_ids = np.argmax(log_probs, axis=1)
         np.add.at(confusion, (tag_ids, pred_ids), 1)

@@ -1,11 +1,11 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from arabner.bioes import parse_tag
+from arabner.bioes import parse_tag, tag_to_id
 from arabner.corpus import (
     CorpusFormatError,
-    PAD_TAG_ID,
     TaggedSentence,
     Vocabulary,
     build_vocab,
@@ -178,11 +178,13 @@ def test_build_vocab_ordering():
 
 
 def test_build_vocab_min_count_and_empty():
-    assert len(build_vocab([])) == 2
-    v = build_vocab([sent(["a", "b"]), sent(["b", "c"])], min_count=2)
-    assert v.id_to_token == ["<PAD>", "<UNK>", "b"]
-    with pytest.raises(ValueError):
-        build_vocab([], min_count=0)
+    # There is no frequency cut-off: a token seen once is kept, as it was
+    # under the old default min_count=1.
+    assert build_vocab([]).id_to_token == ["<PAD>", "<UNK>"]
+    v = build_vocab([sent(["a", "b"]), sent(["b", "c"])])
+    assert v.id_to_token == ["<PAD>", "<UNK>", "b", "a", "c"]
+    with pytest.raises(TypeError):
+        build_vocab([], min_count=2)
 
 
 def test_vocab_determinism():
@@ -191,33 +193,27 @@ def test_vocab_determinism():
     assert build_vocab(sents).id_to_token == ["<PAD>", "<UNK>", "z", "y", "x"]
 
 
-def test_encode_sentence_padding():
-    v = build_vocab([sent(["a", "b", "c"])])
-    ids, tag_ids, mask = encode_sentence(sent(["a", "b", "c"], ["O", "S-PER", "O"]), v, 5)
-    assert ids.shape == (5,) and tag_ids.shape == (5,) and mask.shape == (5,)
-    assert list(mask) == [1, 1, 1, 0, 0]
-    assert list(ids[3:]) == [Vocabulary.PAD_ID] * 2
-    assert list(tag_ids[3:]) == [PAD_TAG_ID] * 2
-    assert tag_ids[1] == 4  # S-PER
+@pytest.mark.parametrize("n, max_len", [(1, 5), (3, 3), (6, 2)])
+def test_encode_sentence_keeps_the_first_max_len_tokens(n, max_len):
+    tokens = ["a", "b", "c", "a", "b", "c"][:n]
+    s = sent(tokens, ["S-PER", "O", "B-LOC", "I-LOC", "E-LOC", "O"][:n])
+    v = build_vocab([sent(["c", "c", "b"])])  # "a" is unknown
+    ids, tag_ids = encode_sentence(s, v, max_len)
+    kept = min(n, max_len)
+    assert ids.dtype == tag_ids.dtype == np.int64
+    assert ids.tolist() == [v.lookup(t) for t in tokens[:kept]]
+    assert tag_ids.tolist() == [tag_to_id(t) for t in s.tags[:kept]]
 
 
 def test_encode_sentence_unk_and_truncation():
     v = build_vocab([sent(["a"])])
-    ids, _, mask = encode_sentence(sent(["a", "mystery"]), v, 2)
+    ids, _ = encode_sentence(sent(["a", "mystery"]), v, 2)
     assert ids[1] == Vocabulary.UNK_ID
     long = sent(list("abcdef"))
-    ids, _, mask = encode_sentence(long, v, 4)
-    assert ids.shape == (4,) and mask.sum() == 4
+    ids, tag_ids = encode_sentence(long, v, 4)
+    assert ids.shape == tag_ids.shape == (4,)
     with pytest.raises(ValueError):
         encode_sentence(long, v, 0)
-
-
-def test_encode_mask_contract():
-    v = build_vocab([sent(["a"])])
-    for n, max_len in [(1, 5), (3, 3), (6, 2)]:
-        s = sent(["a"] * n)
-        _, _, mask = encode_sentence(s, v, max_len)
-        assert mask.sum() == min(n, max_len)
 
 
 def test_corpus_stats_figure1():

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from arabner.model import (
     model_forward,
 )
 from arabner.training import (
+    BETA1,
+    BETA2,
+    EPSILON,
     AdamState,
     Checkpoint,
     CheckpointError,
@@ -214,13 +218,13 @@ class TestAdam:
         for t in range(1, 6):
             grads = {n: rng.normal(size=a.shape) for n, a in params.named_tensors()}
             adam_step(params, grads, state, cfg)
-            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
             for n, (p, m, v) in ref.items():
                 g = grads[n]
-                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                m[...] = BETA1 * m + (1.0 - BETA1) * g
+                v[...] = BETA2 * v + (1.0 - BETA2) * g * g
                 c = math.sqrt(bc2)
-                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + cfg.epsilon * c))
+                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + EPSILON * c))
         for n, a in params.named_tensors():
             p, m, v = ref[n]
             assert a.tobytes() == p.tobytes(), n
@@ -249,13 +253,13 @@ class TestAdam:
             steps.append(set(grads["embedding"].rows.tolist()))
             dense = {n: np.asarray(g) for n, g in grads.items()}
             adam_step(params, grads, state, cfg)
-            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
             for n, (p, m, v) in ref.items():
                 g = dense[n]
-                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                m[...] = BETA1 * m + (1.0 - BETA1) * g
+                v[...] = BETA2 * v + (1.0 - BETA2) * g * g
                 c = math.sqrt(bc2)
-                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + cfg.epsilon * c))
+                p -= (cfg.learning_rate * (c / bc1)) * (m / (np.sqrt(v) + EPSILON * c))
         assert all(0 in rows for rows in steps)  # the PAD row
         touched = set.union(*steps) - {0}
         assert min(touched) < 655 < max(touched)  # rows of both blocks
@@ -280,22 +284,26 @@ class TestAdam:
             rows = np.unique(rng.integers(0, 700, 40))
             grads["embedding"] = RowGrad(rows, rng.normal(size=(rows.size, 50)), params.embedding.shape)
             adam_step(params, grads, state, cfg)
-            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            bc1, bc2 = 1.0 - BETA1**t, 1.0 - BETA2**t
             for n, (p, m, v) in ref.items():
                 g = np.asarray(grads[n])
-                m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-                v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+                m[...] = BETA1 * m + (1.0 - BETA1) * g
+                v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
         for n, a in params.named_tensors():
             p, m, v = ref[n]
             assert state.m[n].tobytes() == m.tobytes(), n
             assert state.v[n].tobytes() == v.tobytes(), n
             assert np.all(np.abs(a - p) <= 1e-14 * np.maximum(np.abs(p), lr)), n
 
-    def test_huge_learning_rate_leaves_zero_gradient_rows_and_stays_finite(self):
-        # at lr 1e308 the textbook lr*(m/bc1) overflows once |g| > ~1.8;
-        # lr*(c/bc1) times m/(sqrt(v) + eps*c) stays finite, and a row with
-        # m = v = 0 moves by exactly 0 (pytest turns numpy warnings into errors)
+    @pytest.mark.parametrize("lr, t", [(1e308, 1), (sys.float_info.max, 10**6)])
+    def test_huge_learning_rate_leaves_zero_gradient_rows_and_stays_finite(self, lr, t):
+        # at lr 1e308 and t = 1 the textbook lr*(m/bc1) overflows once
+        # |g| > ~1.8; lr*(c/bc1) times m/(sqrt(v) + eps*c) stays finite.  At
+        # t = 10**6 the step factor c/bc1 is exactly 1.0, its largest, so the
+        # step is the largest float.  Either way a row with m = v = 0 moves by
+        # exactly 0 (pytest turns numpy warnings into errors).  The state holds
+        # the moments of t - 1 earlier steps on the same gradient.
         params = init_params(ModelConfig(GRU, 700, 50, 3, 5, seed=4))
         before = {n: a.copy() for n, a in params.named_tensors()}
         rng = np.random.default_rng(8)
@@ -304,13 +312,26 @@ class TestAdam:
             g[0] = 0.0
         rows = np.array([1, 300, 699])
         grads["embedding"] = RowGrad(rows, 10.0 * rng.normal(size=(3, 50)), params.embedding.shape)
-        adam_step(params, grads, AdamState.for_params(params), TrainConfig(learning_rate=1e308))
+        state = AdamState.for_params(params)
+        state.t = t - 1
+        for n, _ in params.named_tensors():
+            g = np.asarray(grads[n])
+            state.m[n][...] = (1.0 - BETA1 ** (t - 1)) * g
+            state.v[n][...] = (1.0 - BETA2 ** (t - 1)) * g * g
+        adam_step(params, grads, state, TrainConfig(learning_rate=lr))
         for n, a in params.named_tensors():
             assert np.all(np.isfinite(a)), n
             zero = np.all(np.asarray(grads[n]) == 0.0, axis=tuple(range(1, a.ndim)))
             assert zero[0] and not zero.all(), n
             assert a[zero].tobytes() == before[n][zero].tobytes(), n
             assert np.all(a[~zero] != before[n][~zero]), n
+
+    def test_step_factor_is_at_most_one(self):
+        # adam_step's factor sqrt(1 - BETA2**t) / (1 - BETA1**t); past
+        # t = 40000 both powers are below half an ulp of 1, so it is exactly
+        # 1.0 from there on
+        factors = [math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t) for t in range(1, 40001)]
+        assert max(factors) == factors[-1] == 1.0
 
     def test_non_finite_row_gradient_rejected_before_mutation(self):
         params = tiny_params()
@@ -386,7 +407,7 @@ class TestCheckpoint:
             back = load_checkpoint(path)
             assert back.config == ck.config
             assert back.vocab == ck.vocab
-            assert back.tag_ordering == tag_strings()
+            assert json.loads(path.read_bytes().split(b"\n", 1)[0])["tag_ordering"] == tag_strings()
             assert back.iterations == 42
             orig = dict(ck.params.named_tensors())
             for n, arr in back.params.named_tensors():
@@ -612,11 +633,6 @@ def overfit_train():
         ("learning_rate", -math.inf),
         ("learning_rate", 0.0),
         ("learning_rate", -0.01),
-        ("epsilon", math.nan),
-        ("epsilon", math.inf),
-        ("epsilon", 0.0),
-        ("epsilon", 1e-307),  # epsilon * sqrt(1 - beta2) below the smallest normal float
-        ("epsilon", 5e-324),
         ("max_len", 0),
         ("max_len", -3),
     ],
@@ -626,8 +642,6 @@ def test_train_config_rejects_bad_values(name, value):
         TrainConfig(**{name: value})
     TrainConfig(max_len=1)  # the smallest cap and no cap are both accepted
     TrainConfig(max_len=None)
-    TrainConfig(epsilon=1e-300)  # the epsilon floor scales with sqrt(1 - beta2)
-    TrainConfig(epsilon=1e-307, beta2=0.0)
 
 
 class TestTrain:
@@ -828,12 +842,6 @@ class TestEvaluate:
             assert score.gold > 0
             assert score.precision > 0.8 and score.recall > 0.8
 
-    def test_fingerprint_mismatch(self, overfit_train):
-        ck = make_checkpoint()
-        ck.tag_ordering = list(reversed(ck.tag_ordering))
-        with pytest.raises(CheckpointError, match="ordering"):
-            evaluate(ck, overfit_train[:1])
-
     def test_empty_split(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate(make_checkpoint(), [])
@@ -904,7 +912,7 @@ class TestBatchedInference:
         correct = total = 0
         gold_spans, pred_spans = [], []
         for s in sentences:
-            ids, gold, _ = encode_sentence(s, overfit_lstm.vocab, len(s))
+            ids, gold = encode_sentence(s, overfit_lstm.vocab, len(s))
             pred = np.argmax(model_forward(overfit_lstm.params, ids)[0], axis=1)
             np.add.at(confusion, (gold, pred), 1)
             correct += int((pred == gold).sum())
@@ -930,16 +938,17 @@ class TestBatchedInference:
 
     def test_split_metrics_equals_per_sentence_loop(self, overfit_lstm, overfit_train, monkeypatch):
         vocab = overfit_lstm.vocab
-        # natural lengths, plus padded rows whose mask-0 tail must not count
+        # natural lengths, plus rows cut to 4 tokens
         encoded = [encode_sentence(s, vocab, len(s)) for s in overfit_train * 4]
-        encoded += [encode_sentence(s, vocab, 12) for s in overfit_train]
+        encoded += [encode_sentence(s, vocab, 4) for s in overfit_train]
         nll = correct = total = 0.0
-        for ids, gold, mask in encoded:
-            log_probs, _ = model_forward(overfit_lstm.params, ids, mask)
+        for ids, gold in encoded:
+            mask = np.ones(len(ids))
+            log_probs, _ = model_forward(overfit_lstm.params, ids)
             loss, _ = cross_entropy_loss(log_probs, gold, mask)
-            nll += loss * mask.sum()
-            correct += token_accuracy(log_probs, gold, mask) * mask.sum()
-            total += mask.sum()
+            nll += loss * len(ids)
+            correct += token_accuracy(log_probs, gold, mask) * len(ids)
+            total += len(ids)
         calls = count_forwards(monkeypatch)
         loss, accuracy = _split_metrics(overfit_lstm.params, encoded)
         assert 0 < len(calls) < len(encoded)
