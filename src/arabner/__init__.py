@@ -34,7 +34,7 @@ from .model import (
     model_backward,
     model_forward,
 )
-from .textnorm import NormalizationConfig, is_stripped_diacritic, normalize_text
+from .textnorm import normalize_text
 from .training import (
     AdamState,
     Checkpoint,

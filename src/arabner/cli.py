@@ -45,10 +45,11 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 
 def _read_text(input_path: str | None) -> str:
-    """UTF-8 text from a file or stdin; malformed bytes are rejected here."""
+    """UTF-8 text from a file or stdin, less a leading byte order mark;
+    malformed bytes are rejected here."""
     if input_path:
-        return Path(input_path).read_bytes().decode("utf-8")
-    return sys.stdin.buffer.read().decode("utf-8")
+        return Path(input_path).read_bytes().decode("utf-8-sig")
+    return sys.stdin.buffer.read().decode("utf-8-sig")
 
 
 def cmd_normalize(args) -> int:
@@ -101,7 +102,7 @@ def cmd_stats(args) -> int:
 
 
 def _read_split(path: Path):
-    """Strict-load one split; its load report goes to stderr as warnings."""
+    """Load one split; its load report goes to stderr as warnings."""
     sentences, report = read_corpus(path)
     for issue in report.issues:
         print(f"warning: {issue}", file=sys.stderr)
@@ -114,6 +115,12 @@ def cmd_train(args) -> int:
         if not Path(path).parent.is_dir():
             print(f"error: {path}: parent directory does not exist", file=sys.stderr)
             return EXIT_IO
+        if Path(path).is_dir():
+            print(f"error: {path}: is a directory", file=sys.stderr)
+            return EXIT_IO
+    if Path(log_path).resolve() == Path(args.out).resolve():
+        print(f"error: {log_path}: the metric log would overwrite the checkpoint", file=sys.stderr)
+        return EXIT_IO
     root = Path(args.data)
     train_dir = root / "train"
     if not train_dir.is_dir():
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input file (default: stdin)")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("validate", help="strict-load a corpus and print the load report")
+    p = sub.add_parser("validate", help="load a corpus and print the load report")
     p.add_argument("--data", required=True, help="corpus root or split directory")
     p.set_defaults(func=cmd_validate)
 

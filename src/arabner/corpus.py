@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bioes import CATEGORIES, Tag, TagParseError, OUTSIDE, parse_tag, tag_to_id, validate_sequence
-from .textnorm import DEFAULT_CONFIG, NormalizationConfig, normalize_text
+from .bioes import CATEGORIES, Tag, TagParseError, parse_tag, tag_to_id, validate_sequence
+from .textnorm import normalize_text
 
 EXPECTED_HEADER = ["file_name", "sentence", "word", "tag"]
 
@@ -153,21 +153,16 @@ def _corpus_files(path: Path) -> list[Path]:
     raise CorpusFormatError(f"{path}: no such file or directory")
 
 
-def read_corpus(
-    path: str | Path,
-    strict: bool = True,
-    norm_cfg: NormalizationConfig = DEFAULT_CONFIG,
-) -> tuple[list[TaggedSentence], LoadReport]:
+def read_corpus(path: str | Path) -> tuple[list[TaggedSentence], LoadReport]:
     """Load every sentence under ``path`` (a CSV file or a directory of them).
 
     Grouping happens within each physical file: a sentence is a maximal
     run of rows sharing the (file_name, sentence) column pair.  A pair
     whose rows are split by other rows is reported, and each run is kept
-    as its own sentence in both modes.  Words are normalized; tags are
-    parsed.  In strict mode a sentence with any unparseable tag or a BIOES
-    grammar violation is dropped and reported; in lenient mode unparseable
-    tags are coerced to O with a warning and grammar violations are
-    reported but the sentence is kept.
+    as its own sentence.  Words are normalized; tags are parsed.  A
+    sentence with any unparseable tag (each reported at its line) or a
+    BIOES grammar violation (reported once) is dropped and counted in
+    ``dropped_sentences``.
     """
     report = LoadReport()
     sentences: list[TaggedSentence] = []
@@ -179,24 +174,22 @@ def read_corpus(
             if first != lines[0]:
                 where = f"({key[0]}, {key[1]}) first appeared at line {first}"
                 report.add(file_path, lines[0], f"sentence {where}; its rows are not contiguous")
-            tokens = [normalize_text(word, norm_cfg) for word in words]
             tags = []
-            bad_rows = False
             for line, raw in zip(lines, raw_tags):
                 try:
                     tags.append(parse_tag(raw))
                 except TagParseError as exc:
                     report.add(file_path, line, str(exc))
-                    bad_rows = True
-                    tags.append(OUTSIDE)  # lenient-mode coercion; strict drops the sentence
-            violation = None if bad_rows and strict else validate_sequence(tags)
+            if len(tags) < len(lines):  # an unparseable tag, reported above
+                report.dropped_sentences += 1
+                continue
+            violation = validate_sequence(tags)
             if violation is not None:
                 where = f"({key[0]}, {key[1]}) starting at line {lines[0]}"
                 report.add(file_path, 0, f"sentence {where}: {violation}")
-            if strict and (bad_rows or violation is not None):
                 report.dropped_sentences += 1
-            else:
-                sentences.append(TaggedSentence(tokens, tags, *key))
+                continue
+            sentences.append(TaggedSentence([normalize_text(w) for w in words], tags, *key))
     return sentences, report
 
 

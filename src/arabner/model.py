@@ -7,7 +7,7 @@ finite-difference check in the test suite.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,13 +78,11 @@ class ModelParams:
 class LstmState:
     h: np.ndarray
     c: np.ndarray
-    cache: dict | None = field(default=None, repr=False)
 
 
 @dataclass
 class GruState:
     c: np.ndarray
-    cache: dict | None = field(default=None, repr=False)
 
     @property
     def h(self):
@@ -172,15 +170,15 @@ def _gru_update(p: CellParams, xw, c_prev):
 def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("lstm_step: x_t", x_t, (*prev.h.shape[:-1], p.W.shape[1]))
-    h, c, a = _lstm_update(p, x_t @ p.W.T, prev.h, prev.c)
-    return LstmState(h, c, dict(zip(("i", "f", "o", "g"), np.split(a, 4, axis=-1))))
+    h, c, _ = _lstm_update(p, x_t @ p.W.T, prev.h, prev.c)
+    return LstmState(h, c)
 
 
 def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
     """One GRU update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("gru_step: x_t", x_t, (*prev.c.shape[:-1], p.W.shape[1]))
-    c, a = _gru_update(p, x_t @ p.W.T, prev.c)
-    return GruState(c, dict(zip(GATES[GRU], np.split(a, 3, axis=-1))))
+    c, _ = _gru_update(p, x_t @ p.W.T, prev.c)
+    return GruState(c)
 
 
 def model_forward(params: ModelParams, token_ids, mask=None):

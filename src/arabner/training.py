@@ -38,7 +38,7 @@ from .model import (
     zero_gradients,  # unused here; the traced benchmark patches it under this module
     zero_params,
 )
-from .textnorm import NormalizationConfig, DEFAULT_CONFIG, normalize_text
+from .textnorm import normalize_text
 
 CHECKPOINT_VERSION = 1
 # Elements of one tensor that adam_step's weight update handles per pass:
@@ -659,24 +659,16 @@ def evaluate(ckpt: Checkpoint, sentences: list[TaggedSentence]) -> EvalResult:
     return EvalResult(float(np.trace(confusion) / confusion.sum()), scores, confusion)
 
 
-def predict_lines(
-    ckpt: Checkpoint,
-    lines: list[list[str]],
-    norm_cfg: NormalizationConfig = DEFAULT_CONFIG,
-) -> list[list[Tag]]:
+def predict_lines(ckpt: Checkpoint, lines: list[list[str]]) -> list[list[Tag]]:
     """Tag pre-tokenized sentences, all through batched forward passes;
     tokens are normalized before lookup, and an empty sentence gets no tags."""
-    rows = [[ckpt.vocab.lookup(normalize_text(t, norm_cfg)) for t in tokens] for tokens in lines]
+    rows = [[ckpt.vocab.lookup(normalize_text(t)) for t in tokens] for tokens in lines]
     tags = [[] for _ in lines]
     for i, log_probs in _batched_log_probs(ckpt.params, rows):
         tags[i] = [ALL_TAGS[k] for k in np.argmax(log_probs, axis=1).tolist()]
     return tags
 
 
-def predict_tags(
-    ckpt: Checkpoint,
-    raw_tokens: list[str],
-    norm_cfg: NormalizationConfig = DEFAULT_CONFIG,
-) -> list[Tag]:
+def predict_tags(ckpt: Checkpoint, raw_tokens: list[str]) -> list[Tag]:
     """Tag one pre-tokenized sentence; tokens are normalized before lookup."""
-    return predict_lines(ckpt, [raw_tokens], norm_cfg)[0]
+    return predict_lines(ckpt, [raw_tokens])[0]

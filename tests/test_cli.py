@@ -143,17 +143,32 @@ def test_train_reports_parameter_count(tmp_path, capsys):
     assert f"parameters={count_params(ck.config)}" in printed
 
 
-@pytest.mark.parametrize("flag", ["--out", "--log"])
-def test_train_missing_output_directory_fails_before_training(tmp_path, monkeypatch, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, case",
+    [
+        pytest.param("--out", "missing", id="--out"),
+        pytest.param("--log", "missing", id="--log"),
+        pytest.param("--out", "directory", id="--out-directory"),
+        pytest.param("--log", "directory", id="--log-directory"),
+        pytest.param("--log", "same", id="--log-same-as-out"),
+    ],
+)
+def test_train_missing_output_directory_fails_before_training(tmp_path, monkeypatch, capsys, flag, case):
+    # an output the save after training could not write, or one the log would overwrite
     import arabner.cli
 
     def no_train(*args):
         raise AssertionError("train must not run")
 
     monkeypatch.setattr(arabner.cli, "train", no_train)
-    missing = str(tmp_path / "missing" / "m.out")
     paths = {"--out": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "m.log")}
-    paths[flag] = missing
+    if case == "missing":
+        paths[flag] = str(tmp_path / "missing" / "m.out")
+    elif case == "directory":
+        paths[flag] = str(tmp_path / "taken")
+        (tmp_path / "taken").mkdir()
+    else:
+        paths[flag] = str(tmp_path / "." / "m.ckpt")
     code = main(
         [
             "train", "--data", str(DATA / "overfit"), "--cell", "lstm",
@@ -161,8 +176,8 @@ def test_train_missing_output_directory_fails_before_training(tmp_path, monkeypa
         ]
     )
     assert code == EXIT_IO
-    assert missing in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert paths[flag] in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["taken"] if case == "directory" else [])
 
 
 @pytest.mark.parametrize(
@@ -325,6 +340,32 @@ def test_predict_file_equals_per_line_predict_tags(trained, tmp_path, monkeypatc
         if line.split()
     ]
     assert capsys.readouterr().out == "\n\n".join(expected) + "\n\n"
+
+
+def test_predict_ignores_a_leading_byte_order_mark(trained, tmp_path, capsys):
+    text = "ولد سافر أحمد\nزار عمر\n"
+    outputs = []
+    for name, prefix in (("plain.txt", ""), ("bom.txt", "\ufeff")):
+        src = tmp_path / name
+        src.write_text(prefix + text, encoding="utf-8")
+        assert main(["predict", "--ckpt", str(trained), "--input", str(src)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("ولد\t")
+    assert outputs[1] == outputs[0]
+
+
+def test_normalize_ignores_a_leading_byte_order_mark(tmp_path, monkeypatch, capsys):
+    import io
+    import sys
+
+    src = tmp_path / "in.txt"
+    src.write_text("\ufeffكِتَابٌ\n", encoding="utf-8")
+    assert main(["normalize", "--input", str(src)]) == EXIT_OK
+    assert capsys.readouterr().out == "كتاب\n"
+    stdin = io.BytesIO("\ufeffكِتَابٌ".encode("utf-8"))
+    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": stdin})())
+    assert main(["normalize"]) == EXIT_OK
+    assert capsys.readouterr().out == "كتاب"
 
 
 def test_predict_malformed_manifest_exits_5(trained, tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arabner.bioes import parse_tag, tag_to_id
+from arabner.bioes import parse_tag, tag_to_id, validate_sequence
 from arabner.corpus import (
     CorpusFormatError,
     TaggedSentence,
@@ -60,10 +60,9 @@ def test_sentence_boundary_is_pair_change(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_non_contiguous_key_is_reported_and_kept(tmp_path, strict):
+def test_non_contiguous_key_is_reported_and_kept(tmp_path):
     body = "f,1,a,O\nf,2,b,O\nf,1,c,O\n"  # (f, 1) resumes after (f, 2)
-    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body), strict=strict)
+    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body))
     assert [s.tokens for s in sentences] == [["a"], ["b"], ["c"]]
     assert len(report.issues) == 1
     issue = report.issues[0]
@@ -87,7 +86,7 @@ def test_empty_file_header_only(tmp_path):
 
 def test_unknown_tag_strict_drops_and_reports(tmp_path):
     body = "f,1,w1,O\nf,1,w2,B-XYZ\nf,2,w3,O\n"
-    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body), strict=True)
+    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body))
     assert len(sentences) == 1 and sentences[0].tokens == ["w3"]
     assert report.dropped_sentences == 1
     assert len(report.issues) == 1
@@ -95,21 +94,14 @@ def test_unknown_tag_strict_drops_and_reports(tmp_path):
     assert issue.line == 3 and "XYZ" in issue.message
 
 
-def test_unknown_tag_lenient_coerces_to_outside(tmp_path):
-    body = "f,1,w1,O\nf,1,w2,B-XYZ\n"
-    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body), strict=False)
-    assert len(sentences) == 1
-    assert [str(t) for t in sentences[0].tags] == ["O", "O"]
-    assert not report.clean
-
-
-def test_grammar_violation_strict_vs_lenient(tmp_path):
+def test_grammar_violation_drops_and_reports(tmp_path):
     body = "f,1,w1,I-PER\n"
-    p = write_csv(tmp_path / "a.csv", body)
-    strict_sentences, strict_report = read_corpus(p, strict=True)
-    assert strict_sentences == [] and strict_report.dropped_sentences == 1
-    lenient_sentences, lenient_report = read_corpus(p, strict=False)
-    assert len(lenient_sentences) == 1 and not lenient_report.clean
+    sentences, report = read_corpus(write_csv(tmp_path / "a.csv", body))
+    assert sentences == [] and report.dropped_sentences == 1
+    violation = validate_sequence([parse_tag("I-PER")])
+    assert [(i.line, i.message) for i in report.issues] == [
+        (0, f"sentence (f, 1) starting at line 2: {violation}")
+    ]
 
 
 def test_hard_errors(tmp_path):
@@ -133,8 +125,7 @@ def test_hard_errors(tmp_path):
         read_corpus(bad)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_reader_edge_cases(tmp_path, strict):
+def test_reader_edge_cases(tmp_path):
     p = tmp_path / "edge.csv"
     p.write_bytes(
         (
@@ -147,21 +138,14 @@ def test_reader_edge_cases(tmp_path, strict):
             "f,1,عاد,S-LOC\r\n"  # line 8: (f, 1) resumes
         ).encode("utf-8")
     )
-    sentences, report = read_corpus(p, strict=strict)
-    unknown = (6, "unknown prefix 'Q' in tag 'Q-PER'")
-    resumed = (8, "sentence (f, 1) first appeared at line 2; its rows are not contiguous")
+    sentences, report = read_corpus(p)
+    issues = [
+        (6, "unknown prefix 'Q' in tag 'Q-PER'"),
+        (8, "sentence (f, 1) first appeared at line 2; its rows are not contiguous"),
+    ]
     kept = [(["في"], ["O"], "f", 2), (["عاد"], ["S-LOC"], "f", 1)]
-    if strict:
-        issues, dropped = [unknown, resumed], 1
-    else:
-        violation = (
-            "sentence (f, 1) starting at line 2: position 2: "
-            "O may not follow an open PER entity; expected I-PER or E-PER"
-        )
-        issues, dropped = [unknown, (0, violation), resumed], 0
-        kept.insert(0, (["كلمة", "سطر\nثان", "و"], ["B-PER", "I-PER", "O"], "f", 1))
     assert [(i.path, i.line, i.message) for i in report.issues] == [(str(p), *i) for i in issues]
-    assert report.dropped_sentences == dropped
+    assert report.dropped_sentences == 1
     assert [(s.tokens, [str(t) for t in s.tags], s.file_name, s.sentence_id) for s in sentences] == kept
 
 

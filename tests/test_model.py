@@ -11,6 +11,8 @@ from arabner.model import (
     LSTM,
     LstmState,
     ModelConfig,
+    _gru_update,
+    _lstm_update,
     count_params,
     gru_step,
     init_params,
@@ -43,6 +45,16 @@ def gru_const(H, E, w=0.0, u=0.0, b=0.0, b_z=None):
     if b_z is not None:
         p.b[H : 2 * H] = float(b_z)  # update-gate block
     return p
+
+
+def lstm_gates(p, x_t, prev):
+    """The (i, f, o, g) blocks of the gate stack one LSTM step computes."""
+    return np.split(_lstm_update(p, x_t @ p.W.T, prev.h, prev.c)[2], 4, axis=-1)
+
+
+def gru_gates(p, x_t, prev):
+    """The (r, z, n) blocks of the gate stack one GRU step computes."""
+    return np.split(_gru_update(p, x_t @ p.W.T, prev.c)[1], 3, axis=-1)
 
 
 def zero_model(cell_kind, V=5, E=3, H=4, K=6):
@@ -113,12 +125,13 @@ class TestCountParams:
 
 class TestLstmStep:
     def test_zero_params(self):
-        p = lstm_const(3, 2)
-        state = lstm_step(p, np.array([5.0, -3.0]), LstmState(np.zeros(3), np.zeros(3)))
-        assert np.allclose(state.cache["i"], 0.5, atol=0)
-        assert np.allclose(state.cache["f"], 0.5, atol=0)
-        assert np.allclose(state.cache["o"], 0.5, atol=0)
-        assert np.all(state.cache["g"] == 0.0)
+        p, x, prev = lstm_const(3, 2), np.array([5.0, -3.0]), LstmState(np.zeros(3), np.zeros(3))
+        state = lstm_step(p, x, prev)
+        i, f, o, g = lstm_gates(p, x, prev)
+        assert np.allclose(i, 0.5, atol=0)
+        assert np.allclose(f, 0.5, atol=0)
+        assert np.allclose(o, 0.5, atol=0)
+        assert np.all(g == 0.0)
         assert np.all(state.c == 0.0) and np.all(state.h == 0.0)
 
     def test_scalar_hand_example(self):
@@ -131,27 +144,31 @@ class TestLstmStep:
         rng = np.random.default_rng(0)
         p = lstm_const(4, 3, w=0.1, r=0.1, b_f=30.0)
         prev = LstmState(rng.normal(size=4) * 0.5, rng.normal(size=4))
-        state = lstm_step(p, rng.normal(size=3), prev)
-        expected = prev.c + state.cache["i"] * state.cache["g"]
+        x = rng.normal(size=3)
+        state = lstm_step(p, x, prev)
+        i, _, _, g = lstm_gates(p, x, prev)
+        expected = prev.c + i * g
         assert np.abs(state.c - expected).max() < 1e-12
 
 
 class TestGruStep:
     def test_zero_params(self):
-        p = gru_const(3, 2)
-        state = gru_step(p, np.array([1.0, 2.0]), GruState(np.zeros(3)))
-        assert np.allclose(state.cache["r"], 0.5, atol=0)
-        assert np.allclose(state.cache["z"], 0.5, atol=0)
+        p, x, prev = gru_const(3, 2), np.array([1.0, 2.0]), GruState(np.zeros(3))
+        state = gru_step(p, x, prev)
+        r, z, _ = gru_gates(p, x, prev)
+        assert np.allclose(r, 0.5, atol=0)
+        assert np.allclose(z, 0.5, atol=0)
         assert np.all(state.c == 0.0)
 
     def test_scalar_hand_example(self):
         # r = z = sigmoid(1); candidate = tanh(r); c = (1-z)*candidate + z
-        p = gru_const(1, 1, w=1.0, u=1.0)
-        state = gru_step(p, np.array([0.0]), GruState(np.ones(1)))
+        p, x, prev = gru_const(1, 1, w=1.0, u=1.0), np.array([0.0]), GruState(np.ones(1))
+        state = gru_step(p, x, prev)
+        r, z, n = gru_gates(p, x, prev)
         s1 = 0.7310585786300049
-        assert np.isclose(state.cache["r"][0], s1, rtol=0, atol=1e-15)
-        assert np.isclose(state.cache["z"][0], s1, rtol=0, atol=1e-15)
-        assert np.isclose(state.cache["n"][0], 0.6237125498258757, rtol=0, atol=1e-15)
+        assert np.isclose(r[0], s1, rtol=0, atol=1e-15)
+        assert np.isclose(z[0], s1, rtol=0, atol=1e-15)
+        assert np.isclose(n[0], 0.6237125498258757, rtol=0, atol=1e-15)
         assert np.isclose(state.c[0], 0.8988007183064798, rtol=0, atol=1e-15)
 
     def test_update_gate_saturation_carries_state(self):

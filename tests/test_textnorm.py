@@ -1,12 +1,6 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from arabner.textnorm import (
-    DEFAULT_STRIP_CODEPOINTS,
-    NormalizationConfig,
-    is_stripped_diacritic,
-    normalize_text,
-)
+from arabner.textnorm import DEFAULT_STRIP_CODEPOINTS, normalize_text
 
 DIACRITICS = [chr(c) for c in sorted(DEFAULT_STRIP_CODEPOINTS)]
 
@@ -35,20 +29,6 @@ def test_fully_vocalized_word():
     expected = "".join(c for c in word if ord(c) not in DEFAULT_STRIP_CODEPOINTS)
     assert expected == "كتاب"
     assert normalize_text(word) == expected
-
-
-def test_is_stripped_diacritic():
-    assert is_stripped_diacritic("َ")  # FATHA
-    assert not is_stripped_diacritic("ا")  # ALEF
-    assert not is_stripped_diacritic("ٓ")  # one past the default range
-    with pytest.raises(ValueError):
-        is_stripped_diacritic("ab")
-
-
-def test_custom_strip_set():
-    cfg = NormalizationConfig(strip_set=frozenset({0x0640}) | DEFAULT_STRIP_CODEPOINTS)
-    assert normalize_text("كـتاب", cfg) == "كتاب"
-    assert is_stripped_diacritic("ـ", cfg)
 
 
 def test_kept_marks_not_stripped():

@@ -1,13 +1,15 @@
 """The traced benchmark wraps arabner's functions by name; check that every
 name it looks up still exists where it looks, and that the benchmark's smoke
 run passes, so a rename or a changed signature fails here and not in a
-benchmark run."""
+benchmark run.  Also check that every other import is read where it is made."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import arabner
 from arabner import training
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -24,6 +26,32 @@ def test_every_traced_name_resolves():
     missing = [f"{m.__name__}.{attr}" for m, attr in pairs if not callable(getattr(m, attr, None))]
     assert missing == []
     assert len(pairs) > 30  # the tables were read, not empty
+
+
+def test_every_imported_name_is_used():
+    # an import nothing reads is a leftover of deleted code, unless the
+    # tracer looks the name up in that module to patch it
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    patched = {
+        (module.__name__.rpartition(".")[2], attr)
+        for attr, modules in [*tracer.TIMED.values(), *tracer.COUNTED.values()]
+        for module in modules
+    }
+    unused = []
+    for path in sorted(Path(arabner.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used and (path.stem, name) not in patched:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 
 def test_benchmark_smoke_run_passes():
