@@ -138,6 +138,8 @@ def _read_rows(path: Path):
                 yield line, (file_name, sentence_id), word, tag
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from None
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
         raise CorpusFormatError(f"{path}: unreadable ({exc})") from None
 

@@ -49,6 +49,14 @@ ADAM_BLOCK = 32768
 # 1412.6980), under which the step factor sqrt(1-BETA2**t)/(1-BETA1**t)
 # stays at or below 1 for every t.
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+# Share of a tensor's rows up to which adam_step updates only its live rows
+# (those whose moments may be non-zero); past it the tensor takes the dense
+# pass for good.  At the crossover: one GRU adam_step with an 11737 x 50
+# embedding, median of 60 calls on a shared 2-CPU host, takes 2.1-2.5 ms
+# dense and, by live share of the embedding's rows, 0.44 ms at 1%, 0.82 at
+# 5%, 0.97-1.27 at 10%, 1.26-1.72 at 15%, 1.62-2.19 at 20%, 1.91-2.59 at
+# 25% and 2.2-3.0 at 30%.
+ADAM_LIVE_SHARE = 0.2
 # Padded positions of one inference batch; enough rows to amortize the
 # per-timestep numpy calls, few enough that the caches stay small.
 INFERENCE_POSITIONS = 512
@@ -146,15 +154,31 @@ def token_accuracy(log_probs: np.ndarray, gold: np.ndarray, mask: np.ndarray) ->
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, with the rows each moment may hold.
+
+    Invariant: for every name in ``live``, m[name] and v[name] are exactly
+    +0.0 outside the sorted rows live[name].  A tensor absent from ``live``
+    may have non-zero moments on any row, so adam_step updates all of its
+    rows.  Only for_params starts tracking, since only there are the moments
+    known to be zero; a state built from its moments (a loaded checkpoint,
+    ``AdamState(m, v, t)``) tracks nothing.
+    """
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    live: dict[str, np.ndarray] = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
+        """Zero moments and no live rows.  A tensor one of whose rows does
+        not fit a quarter of ADAM_BLOCK is left untracked, since adam_step
+        gathers live rows into quarters of a block-sized buffer."""
+        tensors = list(params.named_tensors())
         return cls(
-            m={name: np.zeros_like(a) for name, a in params.named_tensors()},
-            v={name: np.zeros_like(a) for name, a in params.named_tensors()},
+            m={name: np.zeros_like(a) for name, a in tensors},
+            v={name: np.zeros_like(a) for name, a in tensors},
+            live={name: np.empty(0, np.int64) for name, a in tensors if 4 * a[0].size <= ADAM_BLOCK},
         )
 
 
@@ -181,8 +205,16 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     c/bc1 is at most 1 and eps*c at least eps*sqrt(1-b2), so the factor
     lr*(c/bc1) is finite whenever lr is, and a row with m = v = 0 moves by
     exactly 0.
-    The decays run in place over whole tensors and the p update
-    ADAM_BLOCK elements at a time through one block-sized scratch buffer.
+
+    That is why the rows outside state.live[name] (see AdamState) are
+    skipped: their m, v and p would keep every bit.  A tracked tensor adds
+    its gradient's rows to its live rows; it leaves tracking for good on a
+    dense gradient or once its live rows pass ADAM_LIVE_SHARE of its rows.
+    An untracked tensor's moments decay in place over the whole tensor and
+    its weights move ADAM_BLOCK elements at a time through one block-sized
+    scratch buffer.  A tracked tensor's live rows are gathered a block at a
+    time into four quarters of that buffer, take the same operations in
+    the same order, and are written back.
     """
     sparse = {name: _rows_and_values(grads[name]) for name, _ in params.named_tensors()}
     for name, (_, g) in sparse.items():
@@ -195,21 +227,48 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     eps_hat = EPSILON * c
     step = cfg.learning_rate * (c / bc1)
     scratch = np.empty(ADAM_BLOCK)
+
+    def move(p, m, v, b):
+        np.sqrt(v, out=b)
+        b += eps_hat
+        np.divide(m, b, out=b)
+        b *= step
+        p -= b
+
     for name, arr in params.named_tensors():
         rows, g = sparse[name]
         m_all, v_all = state.m[name], state.v[name]
-        m_all *= BETA1
-        m_all[rows] += g * (1.0 - BETA1)
-        v_all *= BETA2
-        v_all[rows] += (g * (1.0 - BETA2)) * g
-        flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
-        for lo in range(0, arr.size, ADAM_BLOCK):
-            p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
-            b = np.sqrt(v, out=scratch[: p.size])
-            b += eps_hat
-            np.divide(m, b, out=b)
-            b *= step
-            p -= b
+        live = state.live.pop(name, None)
+        if live is not None and not isinstance(rows, slice):
+            live = np.union1d(live, rows)
+            if live.size <= ADAM_LIVE_SHARE * len(arr):
+                state.live[name] = live
+        if name not in state.live:
+            m_all *= BETA1
+            m_all[rows] += g * (1.0 - BETA1)
+            v_all *= BETA2
+            v_all[rows] += (g * (1.0 - BETA2)) * g
+            flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
+            for lo in range(0, arr.size, ADAM_BLOCK):
+                p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
+                move(p, m, v, scratch[: p.size])
+            continue
+        n = ADAM_BLOCK // (4 * arr[0].size)  # live rows per block
+        quarters = scratch[: 4 * n * arr[0].size].reshape(4, n, *arr.shape[1:])
+        gm, gv = g * (1.0 - BETA1), (g * (1.0 - BETA2)) * g
+        at = np.searchsorted(live, rows)  # the gradient's rows within live
+        for lo in range(0, live.size, n):
+            r = live[lo : lo + n]
+            p, m, v, b = (q[: r.size] for q in quarters)
+            for src, dst in ((arr, p), (m_all, m), (v_all, v)):
+                np.take(src, r, axis=0, out=dst, mode="clip")  # "raise" would buffer
+            i, j = np.searchsorted(at, (lo, lo + r.size))
+            m *= BETA1
+            m[at[i:j] - lo] += gm[i:j]
+            v *= BETA2
+            v[at[i:j] - lo] += gv[i:j]
+            move(p, m, v, b)
+            arr[r], m_all[r], v_all[r] = p, m, v
     return params, state
 
 
@@ -390,7 +449,9 @@ def _read_checkpoint(fh, path) -> Checkpoint:
     # memory than the file holds
     require(size - base >= 8 * count_params(cfg), "truncated payload")
     params = zero_params(cfg)
-    adam = AdamState.for_params(params) if optimizer is not None else None
+    adam = None
+    if optimizer is not None:  # untracked: the file's moments may be non-zero on any row
+        adam = AdamState(*(dict(zero_params(cfg).named_tensors()) for _ in "mv"))
     slots = {name: (arr, rows, shape) for name, arr, rows, shape in _v1_layout(params, adam)}
     require(
         sorted(e["name"] for e in directory) == sorted(slots),

@@ -248,6 +248,26 @@ def test_eval_checkpoint_mismatch(trained, tmp_path, capsys):
     assert code == EXIT_MISMATCH
 
 
+@pytest.mark.parametrize("command", ["validate", "stats", "train", "eval"])
+def test_over_long_csv_field_exits_4(trained, tmp_path, capsys, command):
+    # one word longer than csv.field_size_limit() (131072 characters)
+    split = tmp_path / "corpus" / "train"
+    split.mkdir(parents=True)
+    (split / "part1.csv").write_text(
+        "file_name,sentence,word,tag\nf,1,a,O\nf,2," + "x" * 200000 + ",O\n", encoding="utf-8"
+    )
+    data = str(tmp_path / "corpus")
+    args = {
+        "validate": ["validate", "--data", data],
+        "stats": ["stats", "--data", data],
+        "train": ["train", "--data", data, "--cell", "gru", "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--ckpt", str(trained), "--data", data, "--split", "train"],
+    }[command]
+    assert main(args) == EXIT_FORMAT
+    assert "part1.csv:3: field larger than field limit" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_predict_after_figure1_overfit(tmp_path, capsys):
     data = tmp_path / "corpus"
     (data / "train").mkdir(parents=True)

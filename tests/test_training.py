@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arabner.training
 from arabner.cli import EXIT_MISMATCH, EXIT_OK, main
 from arabner.bioes import EntitySpan, id_to_tag, parse_tag, tag_strings
-from arabner.corpus import TaggedSentence, encode_sentence, read_corpus
+from arabner.corpus import TaggedSentence, Vocabulary, encode_sentence, read_corpus
 from arabner.model import (
     GRU,
     LSTM,
@@ -28,6 +28,7 @@ from arabner.model import (
     model_forward,
 )
 from arabner.training import (
+    ADAM_LIVE_SHARE,
     BETA1,
     BETA2,
     EPSILON,
@@ -360,6 +361,167 @@ class TestAdam:
         assert state.t == 0
         for n, a in params.named_tensors():
             assert np.array_equal(a, before[n])
+
+
+# 700 x 200: a tracked block holds ADAM_BLOCK // (4 * 200) = 40 rows, so the
+# live rows below the share (140) span up to four blocks
+LIVE_CFG = ModelConfig(GRU, 700, 200, 3, len(tag_strings()), seed=4)
+SHARE_ROWS = int(ADAM_LIVE_SHARE * LIVE_CFG.vocab_size)
+
+
+def embedding_grads(params, rng, step):
+    """Gradients of one Adam step: dense normal arrays for every tensor but
+    the embedding, whose gradient is dense when ``step`` is None, else a
+    RowGrad summing ``scale * normal`` over the step's (row, scale) pairs,
+    as model_backward sums a row's repeated positions."""
+    grads = {n: rng.normal(size=a.shape) for n, a in params.named_tensors()}
+    if step is not None:
+        rows = np.array([r for r, _ in step], dtype=np.int64)
+        scales = np.array([c for _, c in step])
+        unique, inverse = np.unique(rows, return_inverse=True)
+        values = np.zeros((unique.size, params.embedding.shape[1]))
+        np.add.at(values, inverse, scales[:, None] * rng.normal(size=(rows.size, values.shape[1])))
+        grads["embedding"] = RowGrad(unique, values, params.embedding.shape)
+    return grads
+
+
+def textbook_step(ref, grads, t, lr):
+    """The dense update of every row, in adam_step's operation order."""
+    bc1, c = 1.0 - BETA1**t, math.sqrt(1.0 - BETA2**t)
+    for n, (p, m, v) in ref.items():
+        g = np.asarray(grads[n])
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+        p -= (lr * (c / bc1)) * (m / (np.sqrt(v) + EPSILON * c))
+
+
+def assert_same_bits(params, state, ref):
+    for n, a in params.named_tensors():
+        p, m, v = ref[n]
+        assert a.tobytes() == p.tobytes(), n
+        assert state.m[n].tobytes() == m.tobytes(), n
+        assert state.v[n].tobytes() == v.tobytes(), n
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 7),  # 7: a dense embedding gradient
+        st.lists(
+            st.tuples(st.integers(0, 699), st.sampled_from([1.0, 0.0, -3.0])), min_size=1, max_size=60
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda steps: [None if kind == 7 else pairs for kind, pairs in steps])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(steps=STEPS)
+@example(steps=[None, [(3, 1.0)], [(5, 1.0)]])  # a dense gradient at step 1
+@example(steps=[[(r, 1.0) for r in range(SHARE_ROWS)], [(SHARE_ROWS, 1.0)]])  # share, then past it
+@example(steps=[[(0, 1.0), (0, 0.0), (4, 0.0), (650, 0.0)], [(4, 0.0), (7, 1.0)], [(650, -3.0)]])
+def test_tracked_update_is_the_all_rows_update_bit_for_bit(steps):
+    # the same steps on a tracked state and on a copy that tracks nothing;
+    # zero-valued gradient rows and the PAD row 0 are live rows like any other
+    params = init_params(LIVE_CFG)
+    state = AdamState.for_params(params)
+    other = copy.deepcopy(params)
+    untracked = AdamState(copy.deepcopy(state.m), copy.deepcopy(state.v))
+    assert "embedding" in state.live and untracked.live == {}
+    rng, other_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for step in steps:
+        adam_step(params, embedding_grads(params, rng, step), state, TrainConfig())
+        adam_step(other, embedding_grads(other, other_rng, step), untracked, TrainConfig())
+        assert untracked.live == {}
+    ref = {n: (a, untracked.m[n], untracked.v[n]) for n, a in other.named_tensors()}
+    assert_same_bits(params, state, ref)
+
+
+class TestAdamLiveRows:
+    def test_live_rows_are_the_union_of_the_row_gradients(self):
+        params = init_params(LIVE_CFG)
+        state = AdamState.for_params(params)
+        assert set(state.live) == {n for n, _ in params.named_tensors()}
+        rng = np.random.default_rng(10)
+        seen = set()
+        for rows in ([0, 5, 5, 9], [9, 300], [0, 699, 1]):
+            grads = embedding_grads(params, rng, [(r, 1.0) for r in rows])
+            adam_step(params, grads, state, TrainConfig())
+            seen |= set(rows)
+            assert list(state.live) == ["embedding"]  # every other tensor had a dense gradient
+            assert state.live["embedding"].tolist() == sorted(seen)
+            live = np.zeros(len(params.embedding), bool)
+            live[state.live["embedding"]] = True
+            assert not state.m["embedding"][~live].any() and not state.v["embedding"][~live].any()
+
+    def test_tracking_ends_past_the_share_for_good(self):
+        params = init_params(LIVE_CFG)
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(11)
+        grads = embedding_grads(params, rng, [(r, 1.0) for r in range(SHARE_ROWS)])
+        adam_step(params, grads, state, TrainConfig())
+        assert state.live["embedding"].size == SHARE_ROWS
+        adam_step(params, embedding_grads(params, rng, [(SHARE_ROWS, 1.0)]), state, TrainConfig())
+        assert "embedding" not in state.live
+        adam_step(params, embedding_grads(params, rng, [(1, 1.0)]), state, TrainConfig())
+        assert state.live == {}
+
+    def test_tracking_ends_on_a_dense_gradient_for_good(self):
+        params = init_params(LIVE_CFG)
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(12)
+        adam_step(params, embedding_grads(params, rng, [(3, 1.0)]), state, TrainConfig())
+        adam_step(params, embedding_grads(params, rng, None), state, TrainConfig())
+        assert state.live == {}
+        adam_step(params, embedding_grads(params, rng, [(4, 1.0)]), state, TrainConfig())
+        assert state.live == {}
+
+    def test_a_failed_step_leaves_the_live_rows(self):
+        params = init_params(LIVE_CFG)
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(13)
+        adam_step(params, embedding_grads(params, rng, [(3, 1.0)]), state, TrainConfig())
+        grads = embedding_grads(params, rng, [(4, 1.0)])
+        grads["dense_b"][0] = np.inf
+        with pytest.raises(NonFiniteGradientError):
+            adam_step(params, grads, state, TrainConfig())
+        assert state.live["embedding"].tolist() == [3]
+
+    def test_rows_wider_than_a_quarter_block_are_not_tracked(self):
+        # --embed 8193: one embedding (and cell.W) row does not fit the
+        # quarter of ADAM_BLOCK that the tracked pass gathers it into
+        params = init_params(ModelConfig(GRU, 4, 8193, 2, len(tag_strings()), seed=4))
+        state = AdamState.for_params(params)
+        assert "embedding" not in state.live and "cell.W" not in state.live and "cell.R" in state.live
+        ref = {n: (a.copy(), state.m[n].copy(), state.v[n].copy()) for n, a in params.named_tensors()}
+        grads = embedding_grads(params, np.random.default_rng(15), [(2, 1.0)])
+        adam_step(params, grads, state, TrainConfig())
+        textbook_step(ref, grads, 1, TrainConfig().learning_rate)
+        assert_same_bits(params, state, ref)
+
+    @pytest.mark.parametrize("built", ["by hand", "from a checkpoint"])
+    def test_a_state_not_from_for_params_updates_every_row(self, tmp_path, built):
+        # moments non-zero on arbitrary rows, none of them in the gradient
+        params = init_params(LIVE_CFG)
+        rng = np.random.default_rng(14)
+        moments = [{n: np.zeros_like(a) for n, a in params.named_tensors()} for _ in "mv"]
+        for m in moments:
+            m["embedding"][[2, 77, 500]] = rng.uniform(0.1, 1.0, size=(3, 200))
+        state = AdamState(*moments, t=3)
+        if built == "from a checkpoint":
+            vocab = Vocabulary([f"w{i}" for i in range(LIVE_CFG.vocab_size - 2)])
+            save_checkpoint(Checkpoint(params, vocab, adam=state), tmp_path / "m.ckpt")
+            loaded = load_checkpoint(tmp_path / "m.ckpt")
+            params, state = loaded.params, loaded.adam
+        assert state.live == {}
+        ref = {n: (a.copy(), state.m[n].copy(), state.v[n].copy()) for n, a in params.named_tensors()}
+        before = params.embedding.copy()
+        for t in (4, 5):
+            grads = embedding_grads(params, rng, [(9, 1.0), (600, -3.0)])
+            adam_step(params, grads, state, TrainConfig())
+            textbook_step(ref, grads, t, TrainConfig().learning_rate)
+        assert_same_bits(params, state, ref)
+        assert np.all(params.embedding[[2, 77, 500]] != before[[2, 77, 500]])
 
 
 def tensor_span(raw, name):
