@@ -3,7 +3,8 @@
 Gradients are hand-derived backpropagation through time; no autodiff.
 Each cell's math is one update function that model_forward and the
 lstm_step/gru_step API share, so every formula here has a
-finite-difference check in the test suite.
+finite-difference check in the test suite.  The input projection x @ W.T + b
+and the backward's gate derivative factors are computed once per pass.
 """
 
 import math
@@ -145,10 +146,10 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 def _lstm_update(p: CellParams, xw, h_prev, c_prev):
-    """One LSTM update of the projected input xw = x @ W.T: a gated blend of the
+    """One LSTM update of the projected input xw = x @ W.T + b: a gated blend of the
     previous cell state and a tanh candidate, output gated by o; returns (h, c, gates)."""
     H = h_prev.shape[-1]
-    a = xw + h_prev @ p.R.T + p.b
+    a = xw + h_prev @ p.R.T
     a[..., : 3 * H] = sigmoid(a[..., : 3 * H])
     a[..., 3 * H :] = tanh(a[..., 3 * H :])
     i, f, o, g = a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :]
@@ -157,34 +158,34 @@ def _lstm_update(p: CellParams, xw, h_prev, c_prev):
 
 
 def _gru_update(p: CellParams, xw, c_prev):
-    """One GRU update of the projected input xw = x @ W.T; returns (c, gates).
+    """One GRU update of the projected input xw = x @ W.T + b; returns (c, gates).
     The reset gate scales the previous state before the candidate's R[2H:]."""
     H = c_prev.shape[-1]
     a = np.empty(xw.shape)
-    a[..., : 2 * H] = sigmoid(xw[..., : 2 * H] + c_prev @ p.R[: 2 * H].T + p.b[: 2 * H])
+    a[..., : 2 * H] = sigmoid(xw[..., : 2 * H] + c_prev @ p.R[: 2 * H].T)
     r, z = a[..., :H], a[..., H : 2 * H]
-    a[..., 2 * H :] = tanh(xw[..., 2 * H :] + (r * c_prev) @ p.R[2 * H :].T + p.b[2 * H :])
+    a[..., 2 * H :] = tanh(xw[..., 2 * H :] + (r * c_prev) @ p.R[2 * H :].T)
     return (1.0 - z) * a[..., 2 * H :] + z * c_prev, a
 
 
 def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("lstm_step: x_t", x_t, (*prev.h.shape[:-1], p.W.shape[1]))
-    h, c, _ = _lstm_update(p, x_t @ p.W.T, prev.h, prev.c)
+    h, c, _ = _lstm_update(p, x_t @ p.W.T + p.b, prev.h, prev.c)
     return LstmState(h, c)
 
 
 def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
     """One GRU update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("gru_step: x_t", x_t, (*prev.c.shape[:-1], p.W.shape[1]))
-    c, _ = _gru_update(p, x_t @ p.W.T, prev.c)
+    c, _ = _gru_update(p, x_t @ p.W.T + p.b, prev.c)
     return GruState(c)
 
 
 def model_forward(params: ModelParams, token_ids, mask=None):
     """Run the full tagger over one sequence (T,) or a batch (..., T).
 
-    Returns (log_probs[..., T, K], caches).  x @ W.T is one product over
+    Returns (log_probs[..., T, K], caches).  x @ W.T + b is one product over
     every position; each step adds only the recurrent term.  The caches are
     time-first and hold each value once: the inputs x[T, ..., E], the states
     h (LSTM only) and c[T+1, ..., H] from the zero state at row 0, the gates
@@ -204,7 +205,7 @@ def model_forward(params: ModelParams, token_ids, mask=None):
 
     p = params.cell
     x = params.embedding[np.moveaxis(ids, -1, 0)]
-    xw = x @ p.W.T
+    xw = x @ p.W.T + p.b
     caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask, x=x)
     gates = caches["gates"] = np.empty(xw.shape)
     c = caches["c"] = np.zeros((len(x) + 1, *x.shape[1:-1], cfg.hidden_dim))
@@ -290,42 +291,44 @@ def model_backward(params: ModelParams, caches, d_log_probs: np.ndarray) -> dict
 
 def _lstm_backward(p: CellParams, cc, dout):
     """Stacked gate gradients da[T, ..., 4H] and d(loss)/dR, given the
-    gradient dout reaching each step's hidden output from the head."""
+    gradient dout reaching each step's hidden output; P is each gate's
+    derivative but for its dc or dh, and A carries dh into dc."""
     gates, c = cc["gates"], cc["c"]
+    i, f, o, g = np.moveaxis(gates.reshape(*dout.shape[:-1], 4, -1), -2, 0)
     tanh_c = np.tanh(c[1:])
-    # one contiguous array per gate: a step's ops run slower on slices of the stack
-    i_, f_, o_, g_ = np.moveaxis(gates.reshape(*dout.shape[:-1], 4, -1), -2, 0).copy()
+    P = np.concatenate(
+        (g * i * (1.0 - i), c[:-1] * f * (1.0 - f), tanh_c * o * (1.0 - o), i * (1.0 - g**2)), axis=-1
+    )
+    A = o * (1.0 - tanh_c**2)
     da = np.empty(gates.shape)
     dh_rec = dc_rec = 0.0
     for t in range(len(dout) - 1, -1, -1):
-        i, f, o, g = i_[t], f_[t], o_[t], g_[t]
         dh = dout[t] + dh_rec
-        dc = dh * o * (1.0 - tanh_c[t] ** 2) + dc_rec
-        da_i, da_f = dc * g * i * (1.0 - i), dc * c[t] * f * (1.0 - f)
-        da_o, da_c = dh * tanh_c[t] * o * (1.0 - o), dc * i * (1.0 - g**2)
-        da[t] = np.concatenate((da_i, da_f, da_o, da_c), axis=-1)
-        dc_rec = dc * f
+        dc = dh * A[t] + dc_rec
+        np.multiply(np.concatenate((dc, dc, dh, dc), axis=-1), P[t], out=da[t])
+        dc_rec = dc * f[t]
         dh_rec = da[t] @ p.R
     return da, _sum_outer(da, cc["h"][:-1])
 
 
 def _gru_backward(p: CellParams, cc, dout):
     """Stacked gate gradients da[T, ..., 3H] and d(loss)/dR, given the
-    gradient dout reaching each step's state from the head."""
+    gradient dout reaching each step's state; P as in the LSTM."""
     H, gates, c = dout.shape[-1], cc["gates"], cc["c"]
     R_rz, R_n = p.R[: 2 * H], p.R[2 * H :]
-    r_, z_, n_ = np.moveaxis(gates.reshape(*dout.shape[:-1], 3, -1), -2, 0).copy()
-    rc = r_ * c[:-1]  # the reset-scaled state R_n acted on
+    r, z, n = np.moveaxis(gates.reshape(*dout.shape[:-1], 3, -1), -2, 0)
+    P = np.concatenate(
+        (c[:-1] * r * (1.0 - r), (c[:-1] - n) * z * (1.0 - z), (1.0 - z) * (1.0 - n**2)), axis=-1
+    )
     da = np.empty(gates.shape)
+    (da_rz, da_n), (P_rz, P_n) = (np.split(a, [2 * H], axis=-1) for a in (da, P))
     dc_rec = 0.0
     for t in range(len(dout) - 1, -1, -1):
-        r, z, n = r_[t], z_[t], n_[t]
         dc = dout[t] + dc_rec
-        da_n = dc * (1.0 - z) * (1.0 - n**2)
-        d_rc = da_n @ R_n
-        da_r, da_z = d_rc * c[t] * r * (1.0 - r), dc * (c[t] - n) * z * (1.0 - z)
-        da[t] = np.concatenate((da_r, da_z, da_n), axis=-1)
-        dc_rec = dc * z + d_rc * r + da[t, ..., : 2 * H] @ R_rz
+        np.multiply(dc, P_n[t], out=da_n[t])
+        d_rc = da_n[t] @ R_n
+        np.multiply(np.concatenate((d_rc, dc), axis=-1), P_rz[t], out=da_rz[t])
+        dc_rec = dc * z[t] + d_rc * r[t] + da_rz[t] @ R_rz
     # rows of R_n multiply the reset-scaled state, the others the plain state
-    dR_rz, dR_n = _sum_outer(da[..., : 2 * H], c[:-1]), _sum_outer(da[..., 2 * H :], rc)
+    dR_rz, dR_n = _sum_outer(da_rz, c[:-1]), _sum_outer(da_n, r * c[:-1])
     return da, np.vstack((dR_rz, dR_n))

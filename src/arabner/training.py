@@ -210,11 +210,9 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     skipped: their m, v and p would keep every bit.  A tracked tensor adds
     its gradient's rows to its live rows; it leaves tracking for good on a
     dense gradient or once its live rows pass ADAM_LIVE_SHARE of its rows.
-    An untracked tensor's moments decay in place over the whole tensor and
-    its weights move ADAM_BLOCK elements at a time through one block-sized
-    scratch buffer.  A tracked tensor's live rows are gathered a block at a
-    time into four quarters of that buffer, take the same operations in
-    the same order, and are written back.
+    Both paths run one in-place update, whose weights move ADAM_BLOCK at a
+    time through a scratch buffer: on a whole untracked tensor, or on a
+    tracked tensor's live rows, gathered into quarters of that buffer.
     """
     sparse = {name: _rows_and_values(grads[name]) for name, _ in params.named_tensors()}
     for name, (_, g) in sparse.items():
@@ -228,34 +226,35 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
     step = cfg.learning_rate * (c / bc1)
     scratch = np.empty(ADAM_BLOCK)
 
-    def move(p, m, v, b):
-        np.sqrt(v, out=b)
-        b += eps_hat
-        np.divide(m, b, out=b)
-        b *= step
-        p -= b
+    def update(p, m, v, rows, g, buf):
+        m *= BETA1
+        m[rows] += g * (1.0 - BETA1)
+        v *= BETA2
+        v[rows] += (g * (1.0 - BETA2)) * g
+        flat = [x.reshape(-1, copy=False) for x in (p, m, v)]
+        for lo in range(0, p.size, ADAM_BLOCK):
+            p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
+            b = buf[: p.size]
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.divide(m, b, out=b)
+            b *= step
+            p -= b
 
     for name, arr in params.named_tensors():
         rows, g = sparse[name]
         m_all, v_all = state.m[name], state.v[name]
         live = state.live.pop(name, None)
         if live is not None and not isinstance(rows, slice):
-            live = np.union1d(live, rows)
+            # return_counts keeps np.unique off its numpy.ma check
+            live = np.unique(np.concatenate((live, rows)), return_counts=True)[0]
             if live.size <= ADAM_LIVE_SHARE * len(arr):
                 state.live[name] = live
         if name not in state.live:
-            m_all *= BETA1
-            m_all[rows] += g * (1.0 - BETA1)
-            v_all *= BETA2
-            v_all[rows] += (g * (1.0 - BETA2)) * g
-            flat = [x.reshape(-1, copy=False) for x in (arr, m_all, v_all)]
-            for lo in range(0, arr.size, ADAM_BLOCK):
-                p, m, v = (x[lo : lo + ADAM_BLOCK] for x in flat)
-                move(p, m, v, scratch[: p.size])
+            update(arr, m_all, v_all, rows, g, scratch)
             continue
         n = ADAM_BLOCK // (4 * arr[0].size)  # live rows per block
         quarters = scratch[: 4 * n * arr[0].size].reshape(4, n, *arr.shape[1:])
-        gm, gv = g * (1.0 - BETA1), (g * (1.0 - BETA2)) * g
         at = np.searchsorted(live, rows)  # the gradient's rows within live
         for lo in range(0, live.size, n):
             r = live[lo : lo + n]
@@ -263,11 +262,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConf
             for src, dst in ((arr, p), (m_all, m), (v_all, v)):
                 np.take(src, r, axis=0, out=dst, mode="clip")  # "raise" would buffer
             i, j = np.searchsorted(at, (lo, lo + r.size))
-            m *= BETA1
-            m[at[i:j] - lo] += gm[i:j]
-            v *= BETA2
-            v[at[i:j] - lo] += gv[i:j]
-            move(p, m, v, b)
+            update(p, m, v, at[i:j] - lo, g[i:j], b.reshape(-1))
             arr[r], m_all[r], v_all[r] = p, m, v
     return params, state
 

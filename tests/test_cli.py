@@ -1,8 +1,11 @@
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arabner.cli import (
     EXIT_FORMAT,
@@ -266,6 +269,59 @@ def test_over_long_csv_field_exits_4(trained, tmp_path, capsys, command):
     assert main(args) == EXIT_FORMAT
     assert "part1.csv:3: field larger than field limit" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+CORPUS_CSV = (DATA / "overfit" / "train" / "part1.csv").read_bytes()
+HEADER_FIELDS = [b"file_name", b"sentence", b"word", b"tag", b"", b"File_Name", b" tag"]
+STRAY_BYTES = [b'"', b"\r", b"\0", b"\xff", b"\xd8", b"\xef\xbb\xbf", b",", b"\n", b'""']
+
+
+@st.composite
+def mutated_corpora(draw):
+    """An overfit CSV with one to four edits: a flipped, inserted or cut
+    byte run, a stray quote, CR, NUL, invalid UTF-8 or BOM, or a new header."""
+    raw = bytearray(CORPUS_CSV)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "insert", "cut", "header"]))
+        end = raw.find(b"\n") % (len(raw) + 1)  # the header's end, or the file's
+        if kind == "header":
+            raw[:end] = b",".join(draw(st.lists(st.sampled_from(HEADER_FIELDS), max_size=5)))
+            continue
+        # below the header, so that most edits reach the rows
+        at = len(raw) - 1 - draw(st.integers(0, max(len(raw) - end - 2, 0)))
+        if kind == "flip" and at >= 0:
+            raw[at] ^= draw(st.integers(1, 255))
+        elif kind == "insert":
+            raw[at + 1 : at + 1] = draw(st.sampled_from(STRAY_BYTES) | st.binary(min_size=1, max_size=6))
+        elif kind == "cut":
+            del raw[max(at, 0) : at + draw(st.integers(1, 40))]
+    return bytes(raw)
+
+
+LONG_FIELD_CSV = b"file_name,sentence,word,tag\nf,1,a,O\nf,2," + b"x" * 200000 + b",O\n"
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(raw=mutated_corpora(), text=st.binary(max_size=64))
+@example(raw=LONG_FIELD_CSV, text=b"x" * 200000 + b"\n")
+@example(raw=LONG_FIELD_CSV.replace(b"\nf,1,", b"\n\xef\xbb\xbff,1,"), text=b"\xef\xbb\xbf\xff\n")
+def test_corrupt_corpus_and_input_bytes_end_in_a_documented_exit_code(trained, raw, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        for split in ("train", "valid"):
+            (root / split).mkdir(parents=True)
+            (root / split / "part1.csv").write_bytes(raw)
+        data, out, src = str(root), str(Path(tmp) / "m.ckpt"), Path(tmp) / "in.txt"
+        for args in (
+            ["validate", "--data", data],
+            ["stats", "--data", data],
+            ["train", "--data", data, "--cell", "gru", "--out", out, "--iterations", "2",
+             "--hidden", "4", "--embed", "4", "--eval-every", "1"],
+            ["eval", "--ckpt", str(trained), "--data", data, "--split", "valid"],
+        ):
+            assert main(args) in (EXIT_OK, EXIT_VIOLATIONS, EXIT_IO, EXIT_FORMAT), args[0]
+        src.write_bytes(text)
+        assert main(["predict", "--ckpt", str(trained), "--input", str(src)]) in (EXIT_OK, EXIT_IO)
 
 
 def test_predict_after_figure1_overfit(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import arabner.model
 from arabner.model import (
     GRU,
     CellParams,
@@ -258,6 +259,43 @@ class TestStateBounds:
 LENGTHS = (5, 2, 4)  # a ragged batch, padded to its longest sentence
 
 
+def per_step_lstm_backward(p, cc, dout):
+    """model._lstm_backward with each step's gate derivatives formed in the loop."""
+    gates, c, da = cc["gates"], cc["c"], np.empty(cc["gates"].shape)
+    tanh_c = np.tanh(c[1:])
+    dh_rec = dc_rec = 0.0
+    for t in range(len(dout) - 1, -1, -1):
+        i, f, o, g = np.split(gates[t], 4, axis=-1)
+        dh = dout[t] + dh_rec
+        dc = dh * o * (1.0 - tanh_c[t] ** 2) + dc_rec
+        da_i, da_f = dc * g * i * (1.0 - i), dc * c[t] * f * (1.0 - f)
+        da_o, da_c = dh * tanh_c[t] * o * (1.0 - o), dc * i * (1.0 - g**2)
+        da[t] = np.concatenate((da_i, da_f, da_o, da_c), axis=-1)
+        dc_rec = dc * f
+        dh_rec = da[t] @ p.R
+    lead = list(range(da.ndim - 1))
+    return da, np.tensordot(da, cc["h"][:-1], (lead, lead))
+
+
+def per_step_gru_backward(p, cc, dout):
+    """model._gru_backward with each step's gate derivatives formed in the loop."""
+    H, gates, c, da = dout.shape[-1], cc["gates"], cc["c"], np.empty(cc["gates"].shape)
+    R_rz, R_n = p.R[: 2 * H], p.R[2 * H :]
+    dc_rec = 0.0
+    for t in range(len(dout) - 1, -1, -1):
+        r, z, n = np.split(gates[t], 3, axis=-1)
+        dc = dout[t] + dc_rec
+        da_n = dc * (1.0 - z) * (1.0 - n**2)
+        d_rc = da_n @ R_n
+        da_r, da_z = d_rc * c[t] * r * (1.0 - r), dc * (c[t] - n) * z * (1.0 - z)
+        da[t] = np.concatenate((da_r, da_z, da_n), axis=-1)
+        dc_rec = dc * z + d_rc * r + da[t, ..., : 2 * H] @ R_rz
+    lead = list(range(da.ndim - 1))
+    rc = gates[..., :H] * c[:-1]  # the reset-scaled state R_n acted on
+    dR_rz = np.tensordot(da[..., : 2 * H], c[:-1], (lead, lead))
+    return da, np.vstack((dR_rz, np.tensordot(da[..., 2 * H :], rc, (lead, lead))))
+
+
 class TestBackward:
     def make(self, kind, seed=7, T=5, relu_head=True):
         cfg = ModelConfig(kind, 13, 4, 3, 13, seed=seed, relu_head=relu_head)
@@ -291,18 +329,24 @@ class TestBackward:
 
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     def test_forward_equals_public_step_loop(self, kind):
-        # one source of cell math: the batched forward and the step API agree
-        params, ids, gold, mask = self.make_batch(kind)
-        lp, caches = model_forward(params, ids, mask)
+        # one source of cell math: the forward and the step API agree, on a
+        # ragged batch and on one sentence, with gate biases away from their
+        # zero init so that a bias either side leaves out shows
         step = lstm_step if kind == LSTM else gru_step
-        states = caches["h" if kind == LSTM else "c"]  # time-first, row 0 the zero state
-        for row, n in enumerate(LENGTHS):
-            state = zero_state(params.config)
-            for t in range(n):
-                state = step(params.cell, params.embedding[ids[row, t]], state)
-                manual = log_softmax(np.maximum(params.dense_w @ state.h + params.dense_b, 0.0))
-                assert np.abs(states[t + 1, row] - state.h).max() <= 1e-12
-                assert np.abs(lp[row, t] - manual).max() <= 1e-12
+        for params, ids, gold, mask in (self.make_batch(kind), self.make(kind, seed=8)):
+            assert np.all(params.cell.b != 0.0)
+            lp, caches = model_forward(params, ids, mask)
+            states = caches["h" if kind == LSTM else "c"]  # time-first, row 0 the zero state
+            # one sentence as a batch of one
+            ids, lp = ids.reshape(-1, ids.shape[-1]), lp.reshape(-1, *lp.shape[-2:])
+            states = states.reshape(len(states), len(ids), -1)
+            for row, n in enumerate(LENGTHS if len(ids) > 1 else ids.shape[1:]):
+                state = zero_state(params.config)
+                for t in range(n):
+                    state = step(params.cell, params.embedding[ids[row, t]], state)
+                    manual = log_softmax(np.maximum(params.dense_w @ state.h + params.dense_b, 0.0))
+                    assert np.abs(states[t + 1, row] - state.h).max() <= 1e-12
+                    assert np.abs(lp[row, t] - manual).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     def test_batch_gradient_is_token_weighted_sum(self, kind):
@@ -374,6 +418,25 @@ class TestBackward:
         _, caches = model_forward(lstm_params, ids, mask)
         with pytest.raises(ValueError, match="does not match"):
             model_backward(gru_params, caches, np.zeros((5, 13)))
+
+    @pytest.mark.parametrize("kind", [LSTM, GRU])
+    @pytest.mark.parametrize("relu_head", [True, False])
+    def test_backward_matches_the_per_step_formulas(self, monkeypatch, kind, relu_head):
+        # the same gradients with every gate derivative formed inside the
+        # time loop, from the cached gates, as the textbook BPTT writes it
+        reference = {LSTM: per_step_lstm_backward, GRU: per_step_gru_backward}[kind]
+        inputs = (self.make_batch(kind, relu_head=relu_head), self.make(kind, relu_head=relu_head))
+        for params, ids, gold, mask in inputs:
+            assert np.all(params.cell.b != 0.0)
+            lp, caches = model_forward(params, ids, mask)
+            _, d = cross_entropy_loss(lp, gold, mask)
+            grads = model_backward(params, caches, d)
+            with monkeypatch.context() as patch:
+                patch.setattr(arabner.model, f"_{kind}_backward", reference)
+                expected = model_backward(params, caches, d)
+            for name, g in expected.items():
+                g, got = np.asarray(g), np.asarray(grads[name])
+                assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), (ids.shape, name)
 
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     @pytest.mark.parametrize("relu_head", [True, False])

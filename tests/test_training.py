@@ -3,7 +3,9 @@ import copy
 import functools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -522,6 +524,27 @@ class TestAdamLiveRows:
             textbook_step(ref, grads, t, TrainConfig().learning_rate)
         assert_same_bits(params, state, ref)
         assert np.all(params.embedding[[2, 77, 500]] != before[[2, 77, 500]])
+
+
+def test_training_and_inference_leave_numpy_ma_unimported():
+    # np.unique without a return_* flag imports numpy.ma to look for a mask,
+    # about 1 MB that the row merge of a tracked Adam step (every step of a
+    # fresh run adds the embedding gradient's rows) has no use for
+    script = f"""
+import sys
+from arabner.corpus import read_corpus
+from arabner.model import LSTM, ModelConfig
+from arabner.training import TrainConfig, evaluate, predict_lines, train
+train_split, _ = read_corpus({str(DATA / "overfit" / "train")!r})
+valid, _ = read_corpus({str(DATA / "overfit" / "valid")!r})
+result = train(train_split, ModelConfig(LSTM, 2, seed=1), TrainConfig(iterations=4, eval_every=2), valid)
+evaluate(result.checkpoint, valid)
+predict_lines(result.checkpoint, [s.tokens for s in valid])
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(arabner.training.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def tensor_span(raw, name):
