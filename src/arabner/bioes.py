@@ -128,9 +128,7 @@ def validate_sequence(tags: list[Tag]) -> Violation | None:
                 )
         if tag.prefix == "B":
             open_category = tag.category
-        elif tag.prefix == "E":
-            open_category = None
-        elif tag.prefix in (None, "S"):
+        elif tag.prefix != "I":
             open_category = None
     if open_category is not None:
         return Violation(len(tags) - 1, "sequence may not end in B or I")

@@ -81,21 +81,16 @@ def cmd_stats(args) -> int:
     splits = {}
     for name, path in _data_splits(Path(args.data)).items():
         splits[name], _ = read_corpus(path)
-    stats = corpus_stats(splits)
-    order = [n for n in SPLIT_NAMES if n in stats.splits] + sorted(
-        n for n in stats.splits if n not in SPLIT_NAMES
-    )
+    stats = corpus_stats(splits)  # in _data_splits order: SPLIT_NAMES, or only "all"
     print(f"{'split':<10}{'files':>8}{'sentences':>12}{'words':>10}")
-    for name in order:
-        st = stats.splits[name]
+    for name, st in stats.splits.items():
         print(f"{name:<10}{st.files:>8}{st.sentences:>12}{st.words:>10}")
     t = stats.total
     print(f"{'total':<10}{t.files:>8}{t.sentences:>12}{t.words:>10}")
     print()
     header = f"{'split':<10}" + "".join(f"{c:>8}" for c in CATEGORIES)
     print(header)
-    for name in order:
-        st = stats.splits[name]
+    for name, st in stats.splits.items():
         print(f"{name:<10}" + "".join(f"{st.category_tokens[c]:>8}" for c in CATEGORIES))
     print(f"{'total':<10}" + "".join(f"{t.category_tokens[c]:>8}" for c in CATEGORIES))
     return EXIT_OK
@@ -158,7 +153,8 @@ def cmd_train(args) -> int:
             fh.write(line + "\n")
     if diverged is not None:
         print(
-            f"error: {diverged}; last good checkpoint written to {args.out}, metric log to {log_path}",
+            f"error: {diverged}; the last good state, after step {diverged.checkpoint.iterations}, "
+            f"written to {args.out}, metric log to {log_path}",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

@@ -116,8 +116,6 @@ def _read_rows(path: Path):
                 header = next(reader)
             except StopIteration:
                 raise CorpusFormatError(f"{path}:1: missing header row") from None
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from None
             if [h.strip() for h in header] != EXPECTED_HEADER:
                 raise CorpusFormatError(
                     f"{path}:1: expected header {','.join(EXPECTED_HEADER)!r}, got {','.join(header)!r}"

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import affine  # unused here; the traced benchmark patches it under this module
-from .numerics import _check_shape, log_softmax, relu, sigmoid, tanh
+from .numerics import _check_shape, affine, log_softmax, relu, sigmoid, tanh
 
 LSTM = "lstm"
 GRU = "gru"
@@ -145,51 +144,51 @@ def count_params(cfg: ModelConfig) -> int:
     return V * E + gates * (H * E + H * H + H) + (K * H + K)
 
 
-def _lstm_update(p: CellParams, xw, h_prev, c_prev):
-    """One LSTM update of the projected input xw = x @ W.T + b: a gated blend of the
-    previous cell state and a tanh candidate, output gated by o; returns (h, c, gates)."""
+def _lstm_update(p: CellParams, a, h_prev, c_prev):
+    """One LSTM update of the projected input a = x @ W.T + b, which it turns
+    into the gates (i, f, o, g) in place; returns (h, c), a gated blend of the
+    previous cell state and the tanh candidate, output gated by o."""
     H = h_prev.shape[-1]
-    a = xw + h_prev @ p.R.T
+    a += h_prev @ p.R.T
     a[..., : 3 * H] = sigmoid(a[..., : 3 * H])
     a[..., 3 * H :] = tanh(a[..., 3 * H :])
     i, f, o, g = a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :]
     c = f * c_prev + i * g
-    return o * np.tanh(c), c, a
+    return o * np.tanh(c), c
 
 
-def _gru_update(p: CellParams, xw, c_prev):
-    """One GRU update of the projected input xw = x @ W.T + b; returns (c, gates).
-    The reset gate scales the previous state before the candidate's R[2H:]."""
+def _gru_update(p: CellParams, a, c_prev):
+    """One GRU update of the projected input a = x @ W.T + b, which it turns
+    into the gates (r, z, n) in place; returns c.  The reset gate scales the
+    previous state before the candidate's R[2H:]."""
     H = c_prev.shape[-1]
-    a = np.empty(xw.shape)
-    a[..., : 2 * H] = sigmoid(xw[..., : 2 * H] + c_prev @ p.R[: 2 * H].T)
+    a[..., : 2 * H] = sigmoid(a[..., : 2 * H] + c_prev @ p.R[: 2 * H].T)
     r, z = a[..., :H], a[..., H : 2 * H]
-    a[..., 2 * H :] = tanh(xw[..., 2 * H :] + (r * c_prev) @ p.R[2 * H :].T)
-    return (1.0 - z) * a[..., 2 * H :] + z * c_prev, a
+    a[..., 2 * H :] = tanh(a[..., 2 * H :] + (r * c_prev) @ p.R[2 * H :].T)
+    return (1.0 - z) * a[..., 2 * H :] + z * c_prev
 
 
 def lstm_step(p: CellParams, x_t: np.ndarray, prev: LstmState) -> LstmState:
     """One LSTM update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("lstm_step: x_t", x_t, (*prev.h.shape[:-1], p.W.shape[1]))
-    h, c, _ = _lstm_update(p, x_t @ p.W.T + p.b, prev.h, prev.c)
-    return LstmState(h, c)
+    return LstmState(*_lstm_update(p, affine(x_t, p.W, p.b), prev.h, prev.c))
 
 
 def gru_step(p: CellParams, x_t: np.ndarray, prev: GruState) -> GruState:
     """One GRU update of x_t; x_t and the state may carry leading batch axes."""
     _check_shape("gru_step: x_t", x_t, (*prev.c.shape[:-1], p.W.shape[1]))
-    c, _ = _gru_update(p, x_t @ p.W.T + p.b, prev.c)
-    return GruState(c)
+    return GruState(_gru_update(p, affine(x_t, p.W, p.b), prev.c))
 
 
 def model_forward(params: ModelParams, token_ids, mask=None):
     """Run the full tagger over one sequence (T,) or a batch (..., T).
 
     Returns (log_probs[..., T, K], caches).  x @ W.T + b is one product over
-    every position; each step adds only the recurrent term.  The caches are
-    time-first and hold each value once: the inputs x[T, ..., E], the states
-    h (LSTM only) and c[T+1, ..., H] from the zero state at row 0, the gates
-    [T, ..., G*H] in GATES order, and the head's pre and log_probs[T, ..., K].
+    every position, and each step turns its own row of it into its gates by
+    adding only the recurrent term.  The caches are time-first and hold each
+    value once: the inputs x[T, ..., E], the states h (LSTM only) and
+    c[T+1, ..., H] from the zero state at row 0, the gates [T, ..., G*H] in
+    GATES order, and the head's pre and log_probs[T, ..., K].
     Padding positions still produce log_probs; the mask only matters to
     the loss and to model_backward.
     """
@@ -205,25 +204,24 @@ def model_forward(params: ModelParams, token_ids, mask=None):
 
     p = params.cell
     x = params.embedding[np.moveaxis(ids, -1, 0)]
-    xw = x @ p.W.T + p.b
     caches = dict(kind=cfg.cell_kind, relu_head=cfg.relu_head, token_ids=ids, mask=mask, x=x)
-    gates = caches["gates"] = np.empty(xw.shape)
+    gates = caches["gates"] = affine(x, p.W, p.b)
     c = caches["c"] = np.zeros((len(x) + 1, *x.shape[1:-1], cfg.hidden_dim))
     if cfg.cell_kind == LSTM:
         h = caches["h"] = np.zeros(c.shape)
         for t in range(len(x)):
-            h[t + 1], c[t + 1], gates[t] = _lstm_update(p, xw[t], h[t], c[t])
+            h[t + 1], c[t + 1] = _lstm_update(p, gates[t], h[t], c[t])
     else:
         h = c  # the GRU's output is its state
         for t in range(len(x)):
-            c[t + 1], gates[t] = _gru_update(p, xw[t], c[t])
-    pre = caches["pre"] = h[1:] @ params.dense_w.T + params.dense_b
+            c[t + 1] = _gru_update(p, gates[t], c[t])
+    pre = caches["pre"] = affine(h[1:], params.dense_w, params.dense_b)
     log_probs = caches["log_probs"] = log_softmax(relu(pre) if cfg.relu_head else pre)
     return np.moveaxis(log_probs, 0, -2), caches
 
 
-# no caller in the package; kept because the traced benchmark patches it by name
 def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
+    """A zero array like each tensor, keyed like ModelParams.named_tensors()."""
     return {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
 
 

@@ -12,23 +12,15 @@ def _check_shape(name, v, shape):
         raise ValueError(f"{name}: expected shape {shape}, got {v.shape}")
 
 
-def affine(W: np.ndarray, x: np.ndarray, R: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + R @ h + b, the shared inner form of every gate.
+def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ W.T + b over the last axis of x, whose leading axes carry through.
 
-    W and R have one row per output, so a stack of G gate blocks of H rows
-    each (W: G*H x D, R: G*H x H) is computed in one call.  x and h may
-    carry the same leading batch axes; the result then carries them too.
+    W has one row per output, so a stack of G gate blocks of H rows each
+    (W: G*H x D) is projected in one call.  A wrong last axis of x raises in
+    the product; b is checked here, since a length-1 b would broadcast.
     """
-    if W.ndim != 2 or R.ndim != 2:
-        raise ValueError(f"affine: W and R must be matrices, got {W.shape} and {R.shape}")
-    N, D = W.shape
-    if R.shape[0] != N:
-        raise ValueError(f"affine: R shape {R.shape} incompatible with W shape {W.shape}")
-    batch = x.shape[:-1]
-    _check_shape("affine: x", x, (*batch, D))
-    _check_shape("affine: h", h, (*batch, R.shape[1]))
-    _check_shape("affine: b", b, (N,))
-    return x @ W.T + h @ R.T + b
+    _check_shape("affine: b", b, (len(W),))
+    return x @ W.T + b
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:

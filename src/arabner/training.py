@@ -35,7 +35,7 @@ from .model import (
     init_params,
     model_backward,
     model_forward,
-    zero_gradients,  # unused here; the traced benchmark patches it under this module
+    zero_gradients,
     zero_params,
 )
 from .textnorm import normalize_text
@@ -174,12 +174,9 @@ class AdamState:
         """Zero moments and no live rows.  A tensor one of whose rows does
         not fit a quarter of ADAM_BLOCK is left untracked, since adam_step
         gathers live rows into quarters of a block-sized buffer."""
-        tensors = list(params.named_tensors())
-        return cls(
-            m={name: np.zeros_like(a) for name, a in tensors},
-            v={name: np.zeros_like(a) for name, a in tensors},
-            live={name: np.empty(0, np.int64) for name, a in tensors if 4 * a[0].size <= ADAM_BLOCK},
-        )
+        m = zero_gradients(params)
+        live = {name: np.empty(0, np.int64) for name, a in m.items() if 4 * a[0].size <= ADAM_BLOCK}
+        return cls(m, zero_gradients(params), live=live)
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConfig):
@@ -446,7 +443,7 @@ def _read_checkpoint(fh, path) -> Checkpoint:
     params = zero_params(cfg)
     adam = None
     if optimizer is not None:  # untracked: the file's moments may be non-zero on any row
-        adam = AdamState(*(dict(zero_params(cfg).named_tensors()) for _ in "mv"))
+        adam = AdamState(zero_gradients(params), zero_gradients(params))
     slots = {name: (arr, rows, shape) for name, arr, rows, shape in _v1_layout(params, adam)}
     require(
         sorted(e["name"] for e in directory) == sorted(slots),
@@ -595,7 +592,9 @@ def train(
     loss is the mean over masked tokens of the whole batch.  Validation
     loss/accuracy are recorded every eval_every steps.  Non-finite loss,
     gradients or validation log-probs abort with TrainingDivergedError
-    carrying the last good checkpoint and the records so far.
+    carrying the records so far and the last good checkpoint: the state
+    before a step whose gradient is non-finite, else the state after the
+    last validation that passed, else the initial state.
     """
     if not train_split:
         raise ValueError("training split is empty")
@@ -620,14 +619,23 @@ def train(
             params=params, vocab=vocab, adam=adam, iterations=step, seed=train_cfg.seed
         )
 
+    good = None  # a copy of the state after the last validation that passed
+
+    def last_good():
+        if good is not None:
+            return good
+        initial = init_params(cfg)  # bit-identical to the state before step 1
+        return Checkpoint(initial, vocab, AdamState.for_params(initial), seed=train_cfg.seed)
+
     for step in range(1, train_cfg.iterations + 1):
         batch = next(batches)
         ids, m = _pad([encoded[i][0] for i in batch])
         gold, _ = _pad([encoded[i][1] for i in batch])
-        log_probs, caches = model_forward(params, ids, m)
-        batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported once below, not as warnings
+            log_probs, caches = model_forward(params, ids, m)
+            batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
         if not np.isfinite(batch_loss):
-            raise TrainingDivergedError(step, "non-finite loss", snapshot(step - 1), records)
+            raise TrainingDivergedError(step, "non-finite loss", last_good(), records)
         records.append(MetricRecord(step, "train", batch_loss, token_accuracy(log_probs, gold, m)))
         grads = model_backward(params, caches, d_log_probs)
         try:
@@ -638,8 +646,15 @@ def train(
             try:
                 vloss, vacc = _split_metrics(params, encoded_valid)
             except NonFiniteOutputError as exc:
-                raise TrainingDivergedError(step, str(exc), snapshot(step), records) from exc
+                raise TrainingDivergedError(step, str(exc), last_good(), records) from exc
             records.append(MetricRecord(step, "valid", vloss, vacc))
+            if good is None:
+                moments = AdamState(zero_gradients(params), zero_gradients(params))
+                good = Checkpoint(zero_params(cfg), vocab, moments, seed=train_cfg.seed)
+            layouts = _v1_layout(good.params, good.adam), _v1_layout(params, adam)
+            for (_, dst, rows, _), (_, src, _, _) in zip(*layouts):
+                np.copyto(dst[rows], src[rows])
+            good.iterations = good.adam.t = step
 
     return TrainResult(snapshot(train_cfg.iterations), records, truncated)
 

@@ -389,6 +389,60 @@ def test_train_divergence_writes_metric_log(tmp_path, capsys):
     assert len(log) == 1 and log[0].startswith("step=1 split=train loss=")
 
 
+@pytest.mark.parametrize(
+    "data, cell, schedule",
+    [
+        ("overfit", "lstm", ["--iterations", "5", "--eval-every", "1"]),  # validation diverges
+        ("overfit/train", "gru", ["--iterations", "50", "--eval-every", "100"]),  # loss diverges
+    ],
+)
+def test_diverged_run_writes_the_initial_state_when_nothing_passed(
+    tmp_path, capsys, data, cell, schedule
+):
+    from arabner.model import init_params
+
+    out = tmp_path / "m.ckpt"
+    code = main(
+        ["train", "--data", str(DATA / data), "--cell", cell, "--out", str(out), "--lr", "1e308"]
+        + schedule
+    )
+    assert code == EXIT_NUMERIC
+    assert "the last good state, after step 0, written to" in capsys.readouterr().err
+    ckpt = load_checkpoint(out)
+    initial = init_params(ckpt.config)
+    for (name, arr), (_, want) in zip(ckpt.params.named_tensors(), initial.named_tensors()):
+        assert arr.tobytes() == want.tobytes(), name
+    src = tmp_path / "input.txt"
+    src.write_text("سافر أحمد إلى بغداد\n", encoding="utf-8")
+    assert main(["predict", "--ckpt", str(out), "--input", str(src)]) == EXIT_OK
+
+
+def test_divergence_after_a_passed_validation_writes_that_state(tmp_path, monkeypatch, capsys):
+    import arabner.training
+
+    real = arabner.training.adam_step
+
+    def poisoning(params, grads, state, cfg):
+        real(params, grads, state, cfg)
+        if state.t == 3:  # step 4's loss is NaN, after step 2's validation passed
+            params.cell.W[0, 0] = float("nan")
+
+    def run(out, iterations):
+        return main(
+            [
+                "train", "--data", str(DATA / "overfit"), "--cell", "lstm", "--out", str(out),
+                "--iterations", str(iterations), "--eval-every", "2", "--hidden", "8", "--embed", "8",
+            ]
+        )
+
+    assert run(tmp_path / "clean.ckpt", 2) == EXIT_OK
+    monkeypatch.setattr(arabner.training, "adam_step", poisoning)
+    assert run(tmp_path / "diverged.ckpt", 6) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "diverged at step 4: non-finite loss; the last good state, after step 2," in err
+    assert (tmp_path / "diverged.ckpt").read_bytes() == (tmp_path / "clean.ckpt").read_bytes()
+
+
 def test_predict_multiple_sentences(trained, tmp_path, capsys):
     src = tmp_path / "input.txt"
     src.write_text("سافر أحمد\n\nزار عمر\n", encoding="utf-8")

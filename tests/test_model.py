@@ -23,7 +23,7 @@ from arabner.model import (
     zero_params,
     zero_state,
 )
-from arabner.numerics import log_softmax
+from arabner.numerics import affine, log_softmax
 from arabner.training import cross_entropy_loss
 from fd_oracle import finite_difference_grads, worst_relative_error
 
@@ -49,13 +49,17 @@ def gru_const(H, E, w=0.0, u=0.0, b=0.0, b_z=None):
 
 
 def lstm_gates(p, x_t, prev):
-    """The (i, f, o, g) blocks of the gate stack one LSTM step computes."""
-    return np.split(_lstm_update(p, x_t @ p.W.T, prev.h, prev.c)[2], 4, axis=-1)
+    """The (i, f, o, g) blocks of the gate stack one LSTM step writes over its projection."""
+    a = affine(x_t, p.W, p.b)
+    _lstm_update(p, a, prev.h, prev.c)
+    return np.split(a, 4, axis=-1)
 
 
 def gru_gates(p, x_t, prev):
-    """The (r, z, n) blocks of the gate stack one GRU step computes."""
-    return np.split(_gru_update(p, x_t @ p.W.T, prev.c)[1], 3, axis=-1)
+    """The (r, z, n) blocks of the gate stack one GRU step writes over its projection."""
+    a = affine(x_t, p.W, p.b)
+    _gru_update(p, a, prev.c)
+    return np.split(a, 3, axis=-1)
 
 
 def zero_model(cell_kind, V=5, E=3, H=4, K=6):
@@ -192,6 +196,24 @@ def test_step_shape_mismatch_names_shapes(kind):
         step(p, np.zeros(2), zero_state(cfg, (5,)))  # would broadcast without the check
     with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(4,\)"):
         step(p, np.zeros(4), zero_state(cfg))
+
+
+@pytest.mark.parametrize("kind", [LSTM, GRU])
+def test_forward_and_step_leave_their_inputs_unchanged(kind):
+    # each step writes its gates over its own projection row in place; no
+    # such write may reach the params, the inputs or the previous state
+    cfg = ModelConfig(kind, 9, 3, 4, 5, seed=1)
+    params, rng = init_params(cfg), np.random.default_rng(4)
+    ids, mask = rng.integers(0, 9, size=(2, 5)), np.ones((2, 5))
+    mask[1, 3:] = 0.0
+    x_t, prev = rng.normal(size=(2, 3)), zero_state(cfg, (2,))
+    for arr in vars(prev).values():
+        arr[...] = rng.normal(size=arr.shape)
+    inputs = [a for _, a in params.named_tensors()] + [ids, mask, x_t, *vars(prev).values()]
+    before = [a.tobytes() for a in inputs]
+    model_forward(params, ids, mask)
+    (lstm_step if kind == LSTM else gru_step)(params.cell, x_t, prev)
+    assert [a.tobytes() for a in inputs] == before
 
 
 class TestForward:

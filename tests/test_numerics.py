@@ -6,41 +6,33 @@ from arabner.numerics import affine, log_softmax, relu, sigmoid, tanh
 
 def test_affine_zero_maps():
     b = np.array([1.0, -2.0, 3.0])
-    out = affine(np.zeros((3, 2)), np.ones(2), np.zeros((3, 3)), np.ones(3), b)
-    assert np.array_equal(out, b)
+    assert np.array_equal(affine(np.ones(2), np.zeros((3, 2)), b), b)
+    assert np.array_equal(affine(np.zeros((4, 5, 2)), np.ones((3, 2)), b), np.broadcast_to(b, (4, 5, 3)))
 
 
 def test_affine_identity():
     x = np.array([0.3, -1.2, 7.0])
-    out = affine(np.eye(3), x, np.zeros((3, 3)), np.zeros(3), np.zeros(3))
-    assert np.array_equal(out, x)
+    assert np.array_equal(affine(x, np.eye(3), np.zeros(3)), x)
 
 
 def test_affine_hand_example():
-    W = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = affine(W, np.array([1.0, 1.0]), np.zeros((2, 2)), np.zeros(2), np.array([0.5, 0.5]))
-    assert np.allclose(out, [3.5, 7.5], atol=0, rtol=0)
-    # two stacked gate blocks of one row each: R is G*H x H
-    R = np.array([[2.0], [-1.0]])
-    out = affine(W, np.array([1.0, 1.0]), R, np.array([0.5]), np.array([0.5, 0.5]))
-    assert np.allclose(out, [4.5, 7.0], atol=0, rtol=0)
-    # a leading batch axis: one row of x and h per batch member
-    x = np.array([[1.0, 1.0], [0.0, 0.0]])
-    out = affine(W, x, R, np.array([[0.5], [1.0]]), np.array([0.5, 0.5]))
-    assert np.allclose(out, [[4.5, 7.0], [2.5, -0.5]], atol=0, rtol=0)
+    W = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])  # three outputs of two inputs
+    b = np.array([0.5, 0.5, 0.0])
+    assert np.array_equal(affine(np.array([1.0, 1.0]), W, b), [3.5, 7.5, -0.5])
+    # leading axes carry through: a batch of two inputs, then one time axis in front
+    x = np.array([[1.0, 1.0], [2.0, 0.0]])
+    assert np.array_equal(affine(x, W, b), [[3.5, 7.5, -0.5], [2.5, 6.5, -2.0]])
+    assert np.array_equal(affine(x[None], W, b), [[[3.5, 7.5, -0.5], [2.5, 6.5, -2.0]]])
 
 
 def test_affine_shape_errors_name_shapes():
     W = np.zeros((3, 2))
-    R = np.zeros((3, 3))
-    with pytest.raises(ValueError, match=r"\(3,\)"):
-        affine(W, np.zeros(3), R, np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match="incompatible"):
-        affine(W, np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError, match=r"\(1,\)"):  # stacked R, h of the wrong width
-        affine(W, np.zeros(2), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError, match=r"\(4, 3\).*\(5, 3\)"):  # batch of 4 x, 5 h
-        affine(W, np.zeros((4, 2)), R, np.zeros((5, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match=r"affine: b: expected shape \(3,\), got \(1,\)"):
+        affine(np.zeros(2), W, np.zeros(1))  # would broadcast without the check
+    with pytest.raises(ValueError, match=r"expected shape \(3,\), got \(2,\)"):
+        affine(np.zeros(2), W, np.zeros(2))
+    with pytest.raises(ValueError, match=r"size 2 is different from 3"):  # x's last axis
+        affine(np.zeros((4, 3)), W, np.zeros(3))
 
 
 def test_activation_examples():
@@ -107,18 +99,16 @@ def test_log_softmax_no_overflow_for_large_logits():
 def test_affine_linear_in_each_argument():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        H, D = rng.integers(1, 7, size=2)
-        W = rng.normal(size=(H, D))
-        R = rng.normal(size=(H, H))
-        b = rng.normal(size=H)
-        x1, x2 = rng.normal(size=D), rng.normal(size=D)
-        h1, h2 = rng.normal(size=H), rng.normal(size=H)
-        zero_b = np.zeros(H)
-        lhs = affine(W, x1 + x2, R, h1 + h2, b)
-        rhs = affine(W, x1, R, h1, b) + affine(W, x2, R, h2, zero_b)
-        assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
-        scaled = affine(W, 3.0 * x1, R, 3.0 * h1, zero_b)
-        assert np.allclose(scaled, 3.0 * affine(W, x1, R, h1, zero_b), rtol=0, atol=1e-12)
+        N, D = rng.integers(1, 7, size=2)
+        W1, W2 = rng.normal(size=(N, D)), rng.normal(size=(N, D))
+        x1, x2 = rng.normal(size=(2, D)), rng.normal(size=(2, D))
+        b, zero_b = rng.normal(size=N), np.zeros(N)
+        lhs = affine(x1 + x2, W1, b)
+        assert np.allclose(lhs, affine(x1, W1, b) + affine(x2, W1, zero_b), rtol=0, atol=1e-12)
+        lhs = affine(x1, W1 + W2, b)
+        assert np.allclose(lhs, affine(x1, W1, b) + affine(x1, W2, zero_b), rtol=0, atol=1e-12)
+        scaled = affine(3.0 * x1, W1, zero_b)
+        assert np.allclose(scaled, 3.0 * affine(x1, W1, zero_b), rtol=0, atol=1e-12)
 
 
 def test_kernels_do_not_mutate_inputs():
@@ -126,10 +116,6 @@ def test_kernels_do_not_mutate_inputs():
     copies = v.copy()
     sigmoid(v), tanh(v), relu(v), log_softmax(v)
     assert np.array_equal(v, copies)
-    W = np.ones((2, 3))
-    x = np.ones(3)
-    R = np.ones((2, 2))
-    h = np.ones(2)
-    b = np.ones(2)
-    affine(W, x, R, h, b)
-    assert W.sum() == 6 and x.sum() == 3 and R.sum() == 4 and h.sum() == 2 and b.sum() == 2
+    x, W, b = np.ones((4, 3)), np.ones((2, 3)), np.ones(2)
+    affine(x, W, b)
+    assert x.sum() == 12 and W.sum() == 6 and b.sum() == 2
