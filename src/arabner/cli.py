@@ -1,14 +1,21 @@
 """Command-line entry point: normalize, validate, stats, train, eval, predict.
 
-Exit codes:
+Commands raise their failures; only ``main`` maps them to exit codes:
   0  success (for ``validate``: corpus is clean)
   1  ``validate`` found report entries
   2  usage error (argparse)
-  3  I/O error, including non-UTF-8 input at the boundary
-  4  data format error (corpus layout, headers, bad values, empty splits)
+  3  I/O error, including an unreadable corpus file, an unusable ``train``
+     output path and non-UTF-8 input at the boundary
+  4  data format error (corpus layout, including a root with split
+     directories but no ``train/``; headers, bad values, empty splits)
   5  checkpoint error or config/fingerprint mismatch
   6  numeric failure: training diverged (the last good checkpoint and the
      metric log are written), or eval/predict met non-finite model outputs
+
+Every command finds a corpus's splits through ``_data_splits`` and loads
+each through ``_read_split``, which warns on stderr about what it drops
+(``validate`` prints that report on stdout instead).  ``train`` writes the
+checkpoint and the metric log through ``replace_atomically``.
 """
 
 import argparse
@@ -24,11 +31,11 @@ from .training import (
     NonFiniteOutputError,
     TrainConfig,
     TrainingDivergedError,
-    TrainResult,
     evaluate,
     load_checkpoint,
     predict_lines,
     predict_tags,  # not called here; the benchmark tracer patches it under this module
+    replace_atomically,
     save_checkpoint,
     train,
 )
@@ -59,41 +66,10 @@ def cmd_normalize(args) -> int:
 
 
 def _data_splits(root: Path) -> dict[str, Path]:
-    """Map split name -> directory; a bare directory counts as one split."""
+    """Map split name -> directory, in SPLIT_NAMES order; a root with no
+    split directory is one split, "all"."""
     splits = {name: root / name for name in SPLIT_NAMES if (root / name).is_dir()}
-    if splits:
-        return splits
-    return {"all": root}
-
-
-def cmd_validate(args) -> int:
-    clean = True
-    for name, path in sorted(_data_splits(Path(args.data)).items()):
-        sentences, report = read_corpus(path)
-        print(f"split={name} sentences={len(sentences)} dropped={report.dropped_sentences}")
-        for issue in report.issues:
-            clean = False
-            print(f"  {issue}")
-    return EXIT_OK if clean else EXIT_VIOLATIONS
-
-
-def cmd_stats(args) -> int:
-    splits = {}
-    for name, path in _data_splits(Path(args.data)).items():
-        splits[name], _ = read_corpus(path)
-    stats = corpus_stats(splits)  # in _data_splits order: SPLIT_NAMES, or only "all"
-    print(f"{'split':<10}{'files':>8}{'sentences':>12}{'words':>10}")
-    for name, st in stats.splits.items():
-        print(f"{name:<10}{st.files:>8}{st.sentences:>12}{st.words:>10}")
-    t = stats.total
-    print(f"{'total':<10}{t.files:>8}{t.sentences:>12}{t.words:>10}")
-    print()
-    header = f"{'split':<10}" + "".join(f"{c:>8}" for c in CATEGORIES)
-    print(header)
-    for name, st in stats.splits.items():
-        print(f"{name:<10}" + "".join(f"{st.category_tokens[c]:>8}" for c in CATEGORIES))
-    print(f"{'total':<10}" + "".join(f"{t.category_tokens[c]:>8}" for c in CATEGORIES))
-    return EXIT_OK
+    return splits or {"all": root}
 
 
 def _read_split(path: Path):
@@ -104,25 +80,48 @@ def _read_split(path: Path):
     return sentences
 
 
+def cmd_validate(args) -> int:
+    clean = True
+    for name, path in _data_splits(Path(args.data)).items():
+        sentences, report = read_corpus(path)
+        print(f"split={name} sentences={len(sentences)} dropped={report.dropped_sentences}")
+        for issue in report.issues:
+            clean = False
+            print(f"  {issue}")
+    return EXIT_OK if clean else EXIT_VIOLATIONS
+
+
+def cmd_stats(args) -> int:
+    splits = {name: _read_split(path) for name, path in _data_splits(Path(args.data)).items()}
+    stats = corpus_stats(splits)
+    print(f"{'split':<10}{'files':>8}{'sentences':>12}{'words':>10}")
+    for name, st in stats.splits.items():
+        print(f"{name:<10}{st.files:>8}{st.sentences:>12}{st.words:>10}")
+    t = stats.total
+    print(f"{'total':<10}{t.files:>8}{t.sentences:>12}{t.words:>10}")
+    print()
+    print(f"{'split':<10}" + "".join(f"{c:>8}" for c in CATEGORIES))
+    for name, st in stats.splits.items():
+        print(f"{name:<10}" + "".join(f"{st.category_tokens[c]:>8}" for c in CATEGORIES))
+    print(f"{'total':<10}" + "".join(f"{t.category_tokens[c]:>8}" for c in CATEGORIES))
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
     log_path = args.log or (args.out + ".log")
     for path in (args.out, log_path):  # fail before training, not at the save after it
         if not Path(path).parent.is_dir():
-            print(f"error: {path}: parent directory does not exist", file=sys.stderr)
-            return EXIT_IO
+            raise FileNotFoundError(f"{path}: parent directory does not exist")
         if Path(path).is_dir():
-            print(f"error: {path}: is a directory", file=sys.stderr)
-            return EXIT_IO
+            raise IsADirectoryError(f"{path}: is a directory")
     if Path(log_path).resolve() == Path(args.out).resolve():
-        print(f"error: {log_path}: the metric log would overwrite the checkpoint", file=sys.stderr)
-        return EXIT_IO
-    root = Path(args.data)
-    train_dir = root / "train"
-    if not train_dir.is_dir():
-        train_dir = root  # a bare directory of CSVs is the training split
+        raise FileExistsError(f"{log_path}: the metric log would overwrite the checkpoint")
+    splits = _data_splits(Path(args.data))
+    train_dir = splits.get("train", splits.get("all"))
+    if train_dir is None:
+        raise CorpusFormatError(f"{args.data}: has split directories but no train/")
     sentences = _read_split(train_dir)
-    valid_dir = root / "valid"
-    valid_sentences = _read_split(valid_dir) if valid_dir.is_dir() else None
+    valid_sentences = _read_split(splits["valid"]) if "valid" in splits else None
 
     model_cfg = ModelConfig(
         cell_kind=args.cell,
@@ -140,17 +139,13 @@ def cmd_train(args) -> int:
         seed=args.seed,
         eval_every=args.eval_every,
     )
-    diverged = None
     try:
-        result = train(sentences, model_cfg, train_cfg, valid_sentences)
+        result, diverged = train(sentences, model_cfg, train_cfg, valid_sentences), None
     except TrainingDivergedError as exc:
-        diverged, result = exc, TrainResult(exc.checkpoint, exc.records)
+        result, diverged = exc.result, exc
     save_checkpoint(result.checkpoint, args.out)
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for record in result.records:
-            fh.write(record.to_line() + "\n")
-        for line in result.summary_lines():
-            fh.write(line + "\n")
+    lines = [record.to_line() for record in result.records] + result.summary_lines()
+    replace_atomically(log_path, ["".join(line + "\n" for line in lines).encode("utf-8")])
     if diverged is not None:
         print(
             f"error: {diverged}; the last good state, after step {diverged.checkpoint.iterations}, "
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", required=True, choices=["train", "valid", "test"])
+    p.add_argument("--split", required=True, choices=SPLIT_NAMES)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="tag whitespace-tokenized sentences, one per line")
@@ -250,9 +245,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -138,8 +138,6 @@ def _read_rows(path: Path):
         raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from None
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    except OSError as exc:
-        raise CorpusFormatError(f"{path}: unreadable ({exc})") from None
 
 
 def _corpus_files(path: Path) -> list[Path]:
@@ -209,11 +207,7 @@ class SplitStats:
     files: int = 0
     sentences: int = 0
     words: int = 0
-    category_tokens: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.category_tokens:
-            self.category_tokens = {c: 0 for c in CATEGORIES}
+    category_tokens: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CATEGORIES, 0))
 
 
 @dataclass
@@ -231,16 +225,13 @@ def corpus_stats(splits: dict[str, list[TaggedSentence]]) -> CorpusStats:
     per_split = {}
     total = SplitStats()
     for name, sentences in splits.items():
-        st = SplitStats(
+        counts = Counter(tag.category for s in sentences for tag in s.tags)  # O counts under None
+        st = per_split[name] = SplitStats(
             files=len({s.file_name for s in sentences}),
             sentences=len(sentences),
-            words=sum(len(s) for s in sentences),
+            words=sum(map(len, sentences)),
+            category_tokens={c: counts[c] for c in CATEGORIES},
         )
-        for s in sentences:
-            for tag in s.tags:
-                if not tag.is_outside:
-                    st.category_tokens[tag.category] += 1
-        per_split[name] = st
         total.files += st.files
         total.sentences += st.sentences
         total.words += st.words

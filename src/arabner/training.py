@@ -102,13 +102,17 @@ class NonFiniteOutputError(RuntimeError):
 
 class TrainingDivergedError(RuntimeError):
     """Loss, gradients or validation log-probs became non-finite; carries
-    the last good checkpoint and the metric records collected so far."""
+    the run's result so far: the last good checkpoint, the metric records
+    and the count of truncated training sentences."""
 
-    def __init__(self, step: int, reason: str, checkpoint: "Checkpoint", records=()):
+    def __init__(self, step: int, reason: str, checkpoint: "Checkpoint", records=(), truncated=0):
         super().__init__(f"training diverged at step {step}: {reason}")
         self.step = step
-        self.checkpoint = checkpoint
-        self.records = list(records)
+        self.result = TrainResult(checkpoint, list(records), truncated)
+
+    @property
+    def checkpoint(self) -> "Checkpoint":
+        return self.result.checkpoint
 
 
 def cross_entropy_loss(log_probs: np.ndarray, gold: np.ndarray, mask: np.ndarray):
@@ -330,9 +334,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     byte offset into the payload, in payload order).  Tensors follow as
     C-order float64 bytes, so save/load round-trips bit-exactly.
 
-    The file is written beside ``path`` under a temporary name, synced and
-    then renamed over ``path``, so a save that fails part way leaves any
-    existing checkpoint untouched.
+    The file is written through replace_atomically, so a save that fails
+    part way leaves any existing checkpoint untouched.
     """
     layout = list(_v1_layout(ckpt.params, ckpt.adam))
     directory = []
@@ -351,14 +354,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "optimizer": {"step": ckpt.adam.t} if ckpt.adam is not None else None,
         "meta": {"iterations": ckpt.iterations, "seed": ckpt.seed},
     }
+    header = json.dumps(manifest, ensure_ascii=False).encode("utf-8") + b"\n"
+    blocks = (np.ascontiguousarray(arr[rows], dtype="<f8") for _, arr, rows, _ in layout)
+    replace_atomically(path, itertools.chain([header], blocks))
+
+
+def replace_atomically(path: str | Path, chunks) -> None:
+    """Write the byte chunks to a temporary file beside ``path``, sync it
+    and rename it over ``path``, so a write that fails part way leaves any
+    existing file at ``path`` untouched and no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(manifest, ensure_ascii=False).encode("utf-8"))
-            fh.write(b"\n")
-            for _, arr, rows, _ in layout:
-                fh.write(np.ascontiguousarray(arr[rows], dtype="<f8"))
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -635,18 +645,18 @@ def train(
             log_probs, caches = model_forward(params, ids, m)
             batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
         if not np.isfinite(batch_loss):
-            raise TrainingDivergedError(step, "non-finite loss", last_good(), records)
+            raise TrainingDivergedError(step, "non-finite loss", last_good(), records, truncated)
         records.append(MetricRecord(step, "train", batch_loss, token_accuracy(log_probs, gold, m)))
         grads = model_backward(params, caches, d_log_probs)
         try:
             adam_step(params, grads, adam, train_cfg)
         except NonFiniteGradientError as exc:
-            raise TrainingDivergedError(step, str(exc), snapshot(step - 1), records) from exc
+            raise TrainingDivergedError(step, str(exc), snapshot(step - 1), records, truncated) from exc
         if encoded_valid and step % train_cfg.eval_every == 0:
             try:
                 vloss, vacc = _split_metrics(params, encoded_valid)
             except NonFiniteOutputError as exc:
-                raise TrainingDivergedError(step, str(exc), last_good(), records) from exc
+                raise TrainingDivergedError(step, str(exc), last_good(), records, truncated) from exc
             records.append(MetricRecord(step, "valid", vloss, vacc))
             if good is None:
                 moments = AdamState(zero_gradients(params), zero_gradients(params))

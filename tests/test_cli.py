@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arabner.cli
 from arabner.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -14,12 +18,14 @@ from arabner.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATIONS,
+    build_parser,
     main,
 )
 from arabner.model import count_params
 from arabner.training import load_checkpoint, predict_tags
 
 DATA = Path(__file__).parent / "data"
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def test_normalize_from_file(tmp_path, capsys):
@@ -73,6 +79,7 @@ def test_validate_split_layout(capsys):
     assert "split=train sentences=20" in out
     assert "split=valid sentences=5" in out
     assert "split=test sentences=3" in out
+    assert re.findall(r"^split=(\w+)", out, flags=re.M) == ["train", "valid", "test"]
 
 
 def test_stats_table(capsys):
@@ -84,6 +91,56 @@ def test_stats_table(capsys):
     assert (files, sentences, words) == ("3", "20", "108")
     assert any(l.startswith("total") for l in lines)
     assert "PER" in out and "GEO" in out
+
+
+def test_stats_warns_on_dropped_sentences_and_counts_the_rest(tmp_path, capsys):
+    clean = "file_name,sentence,word,tag\nf,1,أحمد,S-PER\nf,1,زار,O\nf,3,بغداد,S-GEO\n"
+    bad = clean.replace("f,3,", "f,2,قال,B-XYZ\nf,3,")
+    outputs = []
+    for name, text in (("clean", clean), ("bad", bad)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "part1.csv").write_text(text, encoding="utf-8")
+        assert main(["stats", "--data", str(tmp_path / name)]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert outputs[1].err.startswith("warning: ") and "part1.csv:4" in outputs[1].err
+    assert "XYZ" in outputs[1].err
+    assert outputs[1].out == outputs[0].out
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "train", "eval"])
+def test_unreadable_corpus_file_exits_3(trained, tmp_path, monkeypatch, capsys, command):
+    import arabner.corpus
+
+    opened = []
+
+    def unreadable(path, *args, **kwargs):  # file modes do not stop root, so fail the open itself
+        opened.append(str(path))
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(arabner.corpus, "open", unreadable, raising=False)
+    data = str(DATA / "overfit")
+    args = {
+        "validate": ["validate", "--data", data],
+        "stats": ["stats", "--data", data],
+        "train": ["train", "--data", data, "--cell", "gru", "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--ckpt", str(trained), "--data", data, "--split", "test"],
+    }[command]
+    assert main(args) == EXIT_IO
+    assert opened and opened[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_on_a_root_with_splits_but_no_train_split_exits_4(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    (root / "valid").mkdir(parents=True)
+    shutil.copy(DATA / "overfit" / "train" / "part1.csv", root / "part1.csv")
+    shutil.copy(DATA / "overfit" / "valid" / "part1.csv", root / "valid" / "part1.csv")
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--data", str(root), "--cell", "lstm", "--out", str(out), "--iterations", "2"])
+    assert code == EXIT_FORMAT
+    assert f"{root}: has split directories but no train/" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
 
 def test_missing_data_dir(capsys):
@@ -374,6 +431,42 @@ def test_train_divergence_saves_last_good_checkpoint(tmp_path, monkeypatch, caps
     assert load_checkpoint(out).iterations == 3  # last good state was written
 
 
+def test_failed_metric_log_write_keeps_the_previous_log(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "m.ckpt"
+    args = ["train", "--data", str(DATA / "overfit"), "--cell", "gru", "--out", str(out),
+            "--hidden", "4", "--embed", "4", "--eval-every", "1"]
+    assert main(args + ["--iterations", "2"]) == EXIT_OK
+    before = (tmp_path / "m.ckpt.log").read_bytes()
+    real_fsync, fsyncs = os.fsync, []
+
+    def fsync_failing_at_the_log(fd):
+        fsyncs.append(fd)
+        if len(fsyncs) == 2:  # the checkpoint's is the first, the metric log's the second
+            raise OSError("no space left on device")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_at_the_log)
+    assert main(args + ["--iterations", "3"]) == EXIT_IO
+    assert "no space left on device" in capsys.readouterr().err
+    assert (tmp_path / "m.ckpt.log").read_bytes() == before
+    assert load_checkpoint(out).iterations == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.log"]
+
+
+def test_diverged_metric_log_keeps_the_truncation_summary(tmp_path, capsys):
+    args = ["train", "--data", str(DATA / "overfit"), "--cell", "lstm", "--max-len", "3"]
+    clean, diverged = tmp_path / "clean.ckpt", tmp_path / "diverged.ckpt"
+    assert main(args + ["--out", str(clean), "--iterations", "2"]) == EXIT_OK
+    code = main(
+        args + ["--out", str(diverged), "--iterations", "5", "--eval-every", "1", "--lr", "1e308"]
+    )
+    assert code == EXIT_NUMERIC
+    summary = "summary=train truncated_sentences=20"
+    assert Path(f"{clean}.log").read_text(encoding="utf-8").splitlines()[-1] == summary
+    log = Path(f"{diverged}.log").read_text(encoding="utf-8").splitlines()
+    assert log[0].startswith("step=1 split=train ") and log[-1] == summary
+
+
 def test_train_divergence_writes_metric_log(tmp_path, capsys):
     out = tmp_path / "m.ckpt"
     code = main(
@@ -540,3 +633,34 @@ def test_eval_non_finite_outputs_exit_6(diverged, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+def _readme_section(heading: str) -> str:
+    return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_synopsis_and_exit_codes_match_the_parser():
+    exit_codes = {v for k, v in vars(arabner.cli).items() if k.startswith("EXIT_")}
+    cli_section = _readme_section("CLI")
+    paragraph = cli_section[cli_section.index("Exit codes:") :].split("\n\n", 1)[0]
+    assert {int(c) for c in re.findall(r"`(\d)`", paragraph)} == exit_codes
+    docstring = arabner.cli.__doc__
+    assert {int(c) for c in re.findall(r"^  (\d)  ", docstring, flags=re.M)} == exit_codes
+
+    synopsis = cli_section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = {line.split()[1]: line for line in synopsis.splitlines()}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(subparsers.choices)
+    train = {
+        flag: action
+        for action in subparsers.choices["train"]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+    assert set(re.findall(r"--[a-z-]+", commands["train"])) == set(train)
+    defaults = re.findall(r"\[(--[a-z-]+) ([0-9.]+)\]", commands["train"])
+    assert {flag for flag, _ in defaults} == {
+        "--iterations", "--lr", "--hidden", "--embed", "--batch", "--seed", "--eval-every"
+    }
+    for flag, value in defaults:
+        assert train[flag].default == float(value), flag
