@@ -5,9 +5,12 @@ Commands raise their failures; only ``main`` maps them to exit codes:
   1  ``validate`` found report entries
   2  usage error (argparse)
   3  I/O error, including an unreadable corpus file, an unusable ``train``
-     output path and non-UTF-8 input at the boundary
+     output path and non-UTF-8 input at the boundary; also running out of
+     memory
   4  data format error (corpus layout, including a root with split
-     directories but no ``train/``; headers, bad values, empty splits)
+     directories but no ``train/``, a root with split directories and
+     top-level CSVs, and a missing ``eval`` split; headers, bad values,
+     empty splits)
   5  checkpoint error or config/fingerprint mismatch
   6  numeric failure: training diverged (the last good checkpoint and the
      metric log are written), or eval/predict met non-finite model outputs
@@ -67,8 +70,11 @@ def cmd_normalize(args) -> int:
 
 def _data_splits(root: Path) -> dict[str, Path]:
     """Map split name -> directory, in SPLIT_NAMES order; a root with no
-    split directory is one split, "all"."""
+    split directory is one split, "all".  A root with split directories
+    and top-level CSVs is refused, since the CSVs would go unread."""
     splits = {name: root / name for name in SPLIT_NAMES if (root / name).is_dir()}
+    if splits and any(p.suffix == ".csv" and p.is_file() for p in root.iterdir()):
+        raise CorpusFormatError(f"{root}: has split directories and top-level .csv files")
     return splits or {"all": root}
 
 
@@ -162,8 +168,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    splits = _data_splits(Path(args.data))
+    if args.split not in splits:
+        raise CorpusFormatError(f"{args.data}: has no {args.split}/ split directory")
     ckpt = load_checkpoint(args.ckpt)
-    result = evaluate(ckpt, _read_split(Path(args.data) / args.split))
+    result = evaluate(ckpt, _read_split(splits[args.split]))
     print(f"split={args.split} token_accuracy={result.token_accuracy:.6f}")
     print(f"{'category':<10}{'precision':>10}{'recall':>10}{'gold':>7}{'pred':>7}{'match':>7}")
     for cat in CATEGORIES:
@@ -254,8 +263,8 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not valid UTF-8 ({exc})", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

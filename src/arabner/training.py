@@ -1,6 +1,7 @@
 """Cross-entropy loss, token accuracy, Adam, training/eval loops, checkpoints."""
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -105,10 +106,10 @@ class TrainingDivergedError(RuntimeError):
     the run's result so far: the last good checkpoint, the metric records
     and the count of truncated training sentences."""
 
-    def __init__(self, step: int, reason: str, checkpoint: "Checkpoint", records=(), truncated=0):
+    def __init__(self, step: int, reason: str, result: "TrainResult"):
         super().__init__(f"training diverged at step {step}: {reason}")
         self.step = step
-        self.result = TrainResult(checkpoint, list(records), truncated)
+        self.result = result
 
     @property
     def checkpoint(self) -> "Checkpoint":
@@ -612,7 +613,7 @@ def train(
     max_len = train_cfg.max_len or max(len(s) for s in train_split)
     cfg = dataclasses.replace(model_cfg, vocab_size=len(vocab))
     params = init_params(cfg)
-    adam = AdamState.for_params(params)
+    state = Checkpoint(params, vocab, AdamState.for_params(params), seed=train_cfg.seed)
 
     encoded = [encode_sentence(s, vocab, max_len) for s in train_split]
     truncated = sum(1 for s in train_split if len(s) > max_len)
@@ -623,19 +624,14 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     batches = _shuffled_batches(len(encoded), train_cfg.batch_size, rng)
     records: list[MetricRecord] = []
-
-    def snapshot(step):
-        return Checkpoint(
-            params=params, vocab=vocab, adam=adam, iterations=step, seed=train_cfg.seed
-        )
-
     good = None  # a copy of the state after the last validation that passed
 
-    def last_good():
-        if good is not None:
-            return good
-        initial = init_params(cfg)  # bit-identical to the state before step 1
-        return Checkpoint(initial, vocab, AdamState.for_params(initial), seed=train_cfg.seed)
+    def diverged(reason, fallback):
+        """The error for this step, carrying fallback or else the initial state."""
+        if fallback is None:
+            initial = init_params(cfg)  # bit-identical to the state before step 1
+            fallback = Checkpoint(initial, vocab, AdamState.for_params(initial), seed=train_cfg.seed)
+        return TrainingDivergedError(step, reason, TrainResult(fallback, records, truncated))
 
     for step in range(1, train_cfg.iterations + 1):
         batch = next(batches)
@@ -645,28 +641,26 @@ def train(
             log_probs, caches = model_forward(params, ids, m)
             batch_loss, d_log_probs = cross_entropy_loss(log_probs, gold, m)
         if not np.isfinite(batch_loss):
-            raise TrainingDivergedError(step, "non-finite loss", last_good(), records, truncated)
+            raise diverged("non-finite loss", good)
         records.append(MetricRecord(step, "train", batch_loss, token_accuracy(log_probs, gold, m)))
         grads = model_backward(params, caches, d_log_probs)
         try:
-            adam_step(params, grads, adam, train_cfg)
-        except NonFiniteGradientError as exc:
-            raise TrainingDivergedError(step, str(exc), snapshot(step - 1), records, truncated) from exc
+            adam_step(params, grads, state.adam, train_cfg)
+        except NonFiniteGradientError as exc:  # state is still the one after step - 1
+            raise diverged(str(exc), state) from exc
+        state.iterations = step
         if encoded_valid and step % train_cfg.eval_every == 0:
             try:
                 vloss, vacc = _split_metrics(params, encoded_valid)
             except NonFiniteOutputError as exc:
-                raise TrainingDivergedError(step, str(exc), last_good(), records, truncated) from exc
+                raise diverged(str(exc), good) from exc
             records.append(MetricRecord(step, "valid", vloss, vacc))
-            if good is None:
-                moments = AdamState(zero_gradients(params), zero_gradients(params))
-                good = Checkpoint(zero_params(cfg), vocab, moments, seed=train_cfg.seed)
-            layouts = _v1_layout(good.params, good.adam), _v1_layout(params, adam)
-            for (_, dst, rows, _), (_, src, _, _) in zip(*layouts):
-                np.copyto(dst[rows], src[rows])
-            good.iterations = good.adam.t = step
+            good = None  # free the old copy first: at most one is held beside the live state
+            good = dataclasses.replace(
+                state, params=copy.deepcopy(params), adam=copy.deepcopy(state.adam)
+            )
 
-    return TrainResult(snapshot(train_cfg.iterations), records, truncated)
+    return TrainResult(state, records, truncated)
 
 
 @dataclass

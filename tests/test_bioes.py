@@ -72,6 +72,23 @@ def test_parse_tag():
             parse_tag(bad)
 
 
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (lambda: Tag("B", None), "both set or both None"),
+        (lambda: Tag(None, "PER"), "both set or both None"),
+        (lambda: Tag("Q", "PER"), "unknown prefix 'Q'"),
+        (lambda: Tag("B", "XYZ"), "unknown category 'XYZ'"),
+        (lambda: EntitySpan(-1, 0, "PER"), r"bad span bounds \(-1, 0\)"),
+        (lambda: EntitySpan(3, 2, "PER"), r"bad span bounds \(3, 2\)"),
+        (lambda: EntitySpan(0, 0, "XYZ"), "unknown category 'XYZ'"),
+    ],
+)
+def test_tag_and_span_reject_bad_fields(make, problem):
+    with pytest.raises(ValueError, match=problem):
+        make()
+
+
 def test_parse_roundtrips_string_form():
     for tag in ALL_TAGS:
         assert parse_tag(str(tag)) == tag

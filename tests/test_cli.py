@@ -132,15 +132,47 @@ def test_unreadable_corpus_file_exits_3(trained, tmp_path, monkeypatch, capsys, 
 
 
 def test_train_on_a_root_with_splits_but_no_train_split_exits_4(tmp_path, capsys):
+    for name, top_level_csv, problem in [
+        ("mixed", True, "has split directories and top-level .csv files"),
+        ("valid-only", False, "has split directories but no train/"),
+    ]:
+        root = tmp_path / name
+        (root / "valid").mkdir(parents=True)
+        if top_level_csv:
+            shutil.copy(DATA / "overfit" / "train" / "part1.csv", root / "part1.csv")
+        shutil.copy(DATA / "overfit" / "valid" / "part1.csv", root / "valid" / "part1.csv")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(root), "--cell", "lstm", "--out", str(out), "--iterations", "2"])
+        assert code == EXIT_FORMAT
+        assert f"{root}: {problem}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mixed", "valid-only"]
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "train", "eval"])
+def test_a_root_with_splits_and_top_level_csvs_exits_4(trained, tmp_path, capsys, command):
     root = tmp_path / "corpus"
-    (root / "valid").mkdir(parents=True)
+    shutil.copytree(DATA / "overfit", root)
     shutil.copy(DATA / "overfit" / "train" / "part1.csv", root / "part1.csv")
-    shutil.copy(DATA / "overfit" / "valid" / "part1.csv", root / "valid" / "part1.csv")
-    out = tmp_path / "m.ckpt"
-    code = main(["train", "--data", str(root), "--cell", "lstm", "--out", str(out), "--iterations", "2"])
-    assert code == EXIT_FORMAT
-    assert f"{root}: has split directories but no train/" in capsys.readouterr().err
+    data = str(root)
+    args = {
+        "validate": ["validate", "--data", data],
+        "stats": ["stats", "--data", data],
+        "train": ["train", "--data", data, "--cell", "gru", "--out", str(tmp_path / "m.ckpt")],
+        "eval": ["eval", "--ckpt", str(trained), "--data", data, "--split", "test"],
+    }[command]
+    assert main(args) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {root}: has split directories and top-level .csv files\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
+def test_eval_on_a_missing_split_exits_4(trained, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(DATA / "overfit" / "train", root / "train")
+    code = main(["eval", "--ckpt", str(trained), "--data", str(root), "--split", "test"])
+    assert code == EXIT_FORMAT
+    assert f"{root}: has no test/ split directory" in capsys.readouterr().err
 
 
 def test_missing_data_dir(capsys):
@@ -416,7 +448,7 @@ def test_train_divergence_saves_last_good_checkpoint(tmp_path, monkeypatch, caps
 
     def exploding_train(train_split, model_cfg, train_cfg, valid_split=None):
         good = real_train(train_split, model_cfg, TrainConfig(iterations=3, seed=0))
-        raise TrainingDivergedError(4, "non-finite loss", good.checkpoint)
+        raise TrainingDivergedError(4, "non-finite loss", good)
 
     monkeypatch.setattr(arabner.cli, "train", exploding_train)
     out = tmp_path / "m.ckpt"
@@ -534,6 +566,19 @@ def test_divergence_after_a_passed_validation_writes_that_state(tmp_path, monkey
     err = capsys.readouterr().err
     assert "diverged at step 4: non-finite loss; the last good state, after step 2," in err
     assert (tmp_path / "diverged.ckpt").read_bytes() == (tmp_path / "clean.ckpt").read_bytes()
+
+
+def test_out_of_memory_exits_3_with_one_error_line(trained, tmp_path, monkeypatch, capsys):
+    def out_of_memory(ckpt, lines):
+        raise MemoryError("Unable to allocate 610. MiB for an array with shape (400000, 1, 200)")
+
+    monkeypatch.setattr(arabner.cli, "predict_lines", out_of_memory)
+    src = tmp_path / "input.txt"
+    src.write_text("سافر أحمد إلى بغداد\n", encoding="utf-8")
+    assert main(["predict", "--ckpt", str(trained), "--input", str(src)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 610. MiB for an array with shape (400000, 1, 200)\n"
 
 
 def test_predict_multiple_sentences(trained, tmp_path, capsys):

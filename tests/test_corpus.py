@@ -189,6 +189,12 @@ def test_encode_sentence_keeps_the_first_max_len_tokens(n, max_len):
     assert tag_ids.tolist() == [tag_to_id(t) for t in s.tags[:kept]]
 
 
+@pytest.mark.parametrize("tokens, tags", [(["a"], []), (["a"], ["O", "O"]), ([], [])])
+def test_tagged_sentence_needs_equal_nonzero_counts(tokens, tags):
+    with pytest.raises(ValueError, match=f"got {len(tokens)}/{len(tags)}"):
+        TaggedSentence(tokens, [parse_tag(t) for t in tags])
+
+
 def test_encode_sentence_unk_and_truncation():
     v = build_vocab([sent(["a"])])
     ids, _ = encode_sentence(sent(["a", "mystery"]), v, 2)

@@ -441,6 +441,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="does not match"):
             model_backward(gru_params, caches, np.zeros((5, 13)))
 
+    def test_shape_mismatches_are_named(self):
+        params, ids, gold, mask = self.make(GRU)
+        with pytest.raises(ValueError, match=r"mask shape \(4,\) does not match token_ids shape \(5,\)"):
+            model_forward(params, ids, mask[:4])
+        _, caches = model_forward(params, ids, mask)
+        with pytest.raises(ValueError, match=r"d_log_probs shape \(4, 13\) does not match \(5, 13\)"):
+            model_backward(params, caches, np.zeros((4, 13)))
+
     @pytest.mark.parametrize("kind", [LSTM, GRU])
     @pytest.mark.parametrize("relu_head", [True, False])
     def test_backward_matches_the_per_step_formulas(self, monkeypatch, kind, relu_head):

@@ -1,7 +1,8 @@
 """The traced benchmark wraps arabner's functions by name; check that every
 name it looks up still exists where it looks, and that the benchmark's smoke
 run passes, so a rename or a changed signature fails here and not in a
-benchmark run.  Also check that every other import is read where it is made."""
+benchmark run.  Also check that every other import is read where it is made,
+and that every private function is read in the package."""
 
 import ast
 import importlib.util
@@ -55,6 +56,22 @@ def test_every_imported_name_is_used():
                         found.append(f"{path.stem}.{name}")
     assert unused == []
     assert sorted(shims) == ["cli.predict_tags", "training.validate_sequence"]
+
+
+def test_every_private_function_is_called_from_the_package():
+    # a single-underscore function that only tests reach is a helper kept
+    # for its own tests; every one must be read somewhere in src/arabner
+    defined, read = set(), set()
+    for path in Path(arabner.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) >= 20  # the scan found the package's helpers
+    assert sorted(defined - read) == []
 
 
 def test_benchmark_smoke_run_passes():

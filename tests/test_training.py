@@ -578,6 +578,7 @@ MALFORMED = {
     "step-float": (lambda m: m["optimizer"].update(step=7.5), "bad optimizer"),
     "iterations-float": (lambda m: m["meta"].update(iterations=1.5), "bad meta"),
     "hidden-dim-float": (lambda m: m["model"].update(hidden_dim=3.0), "wrong type of hidden_dim"),
+    "model-without-vocab-size": (lambda m: m["model"].__delitem__("vocab_size"), "bad model config"),
     "vocab-duplicate": (lambda m: m.update(vocab=["الف", "الف", "جيم"]), "repeats a token"),
     "vocab-not-strings": (lambda m: m.update(vocab=[1, 2, 3]), "must be strings"),
 }
@@ -732,7 +733,10 @@ class TestCheckpoint:
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"definitely not a checkpoint")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="missing manifest line"):
+            load_checkpoint(path)
+        path.write_bytes(b"definitely not JSON\n" + bytes(64))
+        with pytest.raises(CheckpointError, match="corrupt manifest"):
             load_checkpoint(path)
 
 
@@ -820,6 +824,9 @@ def overfit_train():
         ("learning_rate", -0.01),
         ("max_len", 0),
         ("max_len", -3),
+        ("iterations", 0),
+        ("batch_size", 0),
+        ("eval_every", 0),
     ],
 )
 def test_train_config_rejects_bad_values(name, value):
